@@ -6,10 +6,10 @@ option pricing under dispersed volatility, and two market microstructure
 generators (an agent game and a random limit-order book) that produce the
 same stylized facts.
 """
-from .agents import (AgentState, EvolutionParams, ExperimentConfig,
-                     ExperimentResult, ImpactParams, MarketEnv, Population,
-                     Strategy, evolve, info_vector, market_impact,
-                     run_experiment, step, strategy_code, strategy_decode)
+from .agents import (EvolutionParams, ExperimentConfig, ExperimentResult,
+                     ImpactParams, MarketEnv, Population, Strategy, evolve,
+                     info_vector, market_impact, run_experiment, step,
+                     strategy_code, strategy_decode)
 from .errors import (FracvolError, GenerationError, GridMismatchError,
                      IngestionError, InsufficientDataError, NoSolutionError,
                      OutOfRegimeError, ParameterError)
@@ -28,7 +28,7 @@ from .simulate import (MarketPath, ModelParams, path_ensemble,
                        simulate_identified, simulate_path)
 
 __all__ = [
-    "AgentState", "BookState", "EstimationReport", "EvolutionParams",
+    "BookState", "EstimationReport", "EvolutionParams",
     "ExperimentConfig", "ExperimentResult", "FracvolError", "GenerationError",
     "GridMismatchError", "ImpactParams", "IngestionError",
     "InsufficientDataError", "LobParams", "MarketEnv", "MarketPath",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import expit
@@ -80,19 +80,6 @@ FUNDAMENTAL_CODE = strategy_code(FUNDAMENTAL)  # 72
 TREND_FOLLOWING_CODE = strategy_code(TREND_FOLLOWING)  # 60
 
 
-@dataclass
-class AgentState:
-    """One agent's book: cash, stock and the wealth it started with."""
-
-    cash: float
-    stock: float
-    strategy: Strategy
-    wealth0: float
-
-    def payoff(self, price: float) -> float:
-        return self.cash + price * self.stock - self.wealth0
-
-
 @dataclass(frozen=True)
 class ImpactParams:
     """Aggregate-flow price impact omega / (lambda0 + lambda1 |omega|^a).
@@ -106,9 +93,9 @@ class ImpactParams:
     alpha_exponent: float = 0.5
 
     def validate(self) -> None:
-        if self.lambda0 <= 0:
+        if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
             raise ParameterError(f"lambda0 must be positive, got {self.lambda0!r}")
-        if self.lambda1 < 0:
+        if not (self.lambda1 >= 0 and math.isfinite(self.lambda1)):
             raise ParameterError(f"lambda1 must be nonnegative, got {self.lambda1!r}")
         if not 0.0 < self.alpha_exponent <= 1.0:
             raise ParameterError(
@@ -137,15 +124,13 @@ class MarketEnv:
 
     def validate(self) -> None:
         self.impact.validate()
-        if self.noise_sigma < 0:
-            raise ParameterError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
-        if self.value_walk_sigma < 0:
-            raise ParameterError(
-                f"value_walk_sigma must be nonnegative, got {self.value_walk_sigma!r}"
-            )
+        for name in ("noise_sigma", "value_walk_sigma"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be nonnegative, got {value!r}")
         if self.f_choice not in (STEP_F, LOGISTIC_F):
             raise ParameterError(f"unknown f_choice {self.f_choice!r}")
-        if self.beta_f <= 0:
+        if not (self.beta_f > 0 and math.isfinite(self.beta_f)):
             raise ParameterError(f"beta_f must be positive, got {self.beta_f!r}")
 
 
@@ -233,21 +218,6 @@ class Population:
         w0 = cash0 + price0 * stock0
         return cls(rows, np.full(n, float(cash0)), np.full(n, float(stock0)),
                    np.full(n, w0))
-
-    @classmethod
-    def from_agents(cls, agents: Sequence[AgentState]) -> "Population":
-        if not agents:
-            raise ParameterError("population must not be empty")
-        for a in agents:
-            a.strategy.validate()
-        return cls([a.strategy.entries for a in agents],
-                   [a.cash for a in agents], [a.stock for a in agents],
-                   [a.wealth0 for a in agents])
-
-    def agent(self, i: int) -> AgentState:
-        return AgentState(cash=float(self.cash[i]), stock=float(self.stock[i]),
-                          strategy=Strategy(tuple(int(e) for e in self.strategies[i])),
-                          wealth0=float(self.wealth0[i]))
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -337,12 +307,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n_steps < 1:
             raise ParameterError(f"n_steps must be at least 1, got {self.n_steps!r}")
-        if self.unit_investment <= 0:
-            raise ParameterError(
-                f"unit_investment must be positive, got {self.unit_investment!r}"
-            )
-        if self.price0 <= 0:
-            raise ParameterError(f"price0 must be positive, got {self.price0!r}")
+        for name in ("unit_investment", "price0"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be positive, got {value!r}")
+        for name in ("cash0", "stock0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.evolution is not None:
             self.evolution.validate()
 

@@ -4,8 +4,8 @@ Commands: simulate, estimate, pdf, price, smile, abm, lob. Each writes a
 single artifact (CSV or JSON, atomic temp + rename) to --out and prints a
 one-line JSON run summary (command, seed, wall_time, output) to stdout.
 Exit codes: 0 success, 1 domain error (bad parameters or data, reported as
-one JSON line on stderr), 2 usage error. FRACVOL_THREADS caps worker
-threads; artifacts are byte-identical for any thread count.
+one JSON line on stderr), 2 usage error. Artifacts are byte-identical
+across runs with the same arguments.
 
 The abm command reads an optional key = value config file:
 
@@ -205,6 +205,16 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ParameterError(f"{key} must be a boolean, got {value!r}")
 
 
+def _parse_number(kind, key: str, value: str):
+    """kind(value) for kind int or float; a malformed value names its key."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ParameterError(
+            f"{key} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}") from None
+
+
 def _parse_population(value: str) -> tuple:
     mix = []
     for part in value.split(","):
@@ -212,7 +222,8 @@ def _parse_population(value: str) -> tuple:
         if not sep:
             raise ParameterError(
                 f"population entries are code:count, got {part.strip()!r}")
-        mix.append((int(code), int(count)))
+        mix.append((_parse_number(int, "population", code),
+                    _parse_number(int, "population", count)))
     return tuple(mix)
 
 
@@ -229,25 +240,25 @@ def _experiment_config(kv: dict, steps: int | None, seed: int | None):
         if key == "population":
             fields["population"] = _parse_population(value)
         elif key == "steps":
-            fields["n_steps"] = int(value)
+            fields["n_steps"] = _parse_number(int, key, value)
         elif key == "seed":
-            fields["seed"] = int(value)
+            fields["seed"] = _parse_number(int, key, value)
         elif key == "window":
-            fields["window"] = int(value)
+            fields["window"] = _parse_number(int, key, value)
         elif key == "f_choice":
             fields["f_choice"] = value
         elif key in _ABM_FLOAT_KEYS:
-            fields[key] = float(value)
+            fields[key] = _parse_number(float, key, value)
         elif key.startswith("impact."):
-            impact[key[len("impact."):]] = float(value)
+            impact[key[len("impact."):]] = _parse_number(float, key, value)
         elif key.startswith("evolution."):
             sub = key[len("evolution."):]
             if sub == "random_selection":
                 evolution[sub] = _parse_bool(value, key)
             elif sub == "mutation_prob":
-                evolution[sub] = float(value)
+                evolution[sub] = _parse_number(float, key, value)
             else:
-                evolution[sub] = int(value)
+                evolution[sub] = _parse_number(int, key, value)
         else:
             raise ParameterError(f"unknown config key {key!r}")
     try:

@@ -7,9 +7,11 @@ process with covariance
 
 and fractional Gaussian noise (fGn) is its stationary increment sequence on a
 regular grid. The generator here is exact in distribution: circulant
-embedding of the fGn covariance (O(n log n)) with a spectral nonnegativity
-check, falling back to the sequential Durbin-Levinson recursion (O(n^2),
-exact for every admissible H) if the embedding fails.
+embedding of the fGn covariance (O(n log n)). The embedding is nonnegative
+definite for every 0 < H <= 1 (Dietrich & Newsam 1997; Craigmile 2003), so
+its computed eigenvalues go negative only through round-off in the
+autocovariance. Those above a round-off bound derived from n and H are
+clipped to zero; anything lower raises GenerationError.
 """
 from __future__ import annotations
 
@@ -19,10 +21,6 @@ import numpy as np
 
 from .errors import GenerationError, ParameterError
 from .rng import substream
-
-# Circulant eigenvalues this far below zero (relative to the largest) are
-# treated as roundoff and clipped; anything lower triggers the fallback.
-_EIG_CLIP_REL = 1e-10
 
 
 def check_hurst(hurst: float) -> float:
@@ -84,18 +82,28 @@ class FbmSeries:
     hurst: float
 
 
-def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray | None:
-    """Eigenvalues of the 2n-circulant embedding, or None if it fails.
+def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """Eigenvalues of the 2n-circulant embedding, clipped at zero.
 
     The first row is the even extension [gamma(0..n), gamma(n-1..1)] of the
-    unit-spacing autocovariance; its DFT is real.
+    unit-spacing autocovariance; its DFT is real. Each gamma(k) cancels
+    terms of size (k+1)^(2H), so its absolute error is about
+    eps (k+1)^(2H) and an eigenvalue's is at most 2 eps sum_row
+    (|lag|+1)^(2H) <= 4 eps (n+2)^(2H+1) / (2H+1). Negative eigenvalues
+    within that bound are round-off; one below it is a genuine failure.
     """
     gamma = fgn_autocovariance(np.arange(n + 1), hurst)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     eigs = np.fft.fft(row).real
-    floor = -_EIG_CLIP_REL * eigs.max()
-    if eigs.min() < floor:
-        return None
+    two_h1 = 2.0 * hurst + 1.0
+    bound = 4.0 * np.finfo(float).eps * (n + 2.0) ** two_h1 / two_h1
+    lowest = float(eigs.min())
+    if lowest < -bound:
+        raise GenerationError(
+            f"circulant embedding is not nonnegative definite for n={n}, "
+            f"H={hurst!r}: eigenvalue {lowest:.6g} is below the round-off "
+            f"bound {-bound:.6g}"
+        )
     return np.clip(eigs, 0.0, None)
 
 
@@ -115,41 +123,12 @@ def _fgn_circulant(n: int, eigs: np.ndarray, rng: np.random.Generator,
     return np.fft.fft(v, axis=1).real[:, :n]
 
 
-def _fgn_durbin_levinson(n: int, hurst: float, rng: np.random.Generator,
-                         n_paths: int) -> np.ndarray:
-    """Exact sequential sampler; quadratic cost, used only as a fallback."""
-    gamma = fgn_autocovariance(np.arange(n), hurst)
-    z = rng.standard_normal((n_paths, n))
-    out = np.empty((n_paths, n))
-    out[:, 0] = np.sqrt(gamma[0]) * z[:, 0]
-    if n == 1:
-        return out
-    phi = np.zeros(n)
-    var = gamma[0]
-    for i in range(1, n):
-        reflect = gamma[i] - phi[1:i] @ gamma[i - 1 : 0 : -1]
-        reflect /= var
-        phi[i] = reflect
-        phi[1:i] -= reflect * phi[i - 1 : 0 : -1]
-        var *= 1.0 - reflect * reflect
-        if var <= 0.0:
-            raise GenerationError(
-                "Durbin-Levinson recursion lost positive definiteness "
-                f"at step {i} (innovation variance {var!r})"
-            )
-        out[:, i] = out[:, :i] @ phi[i:0:-1] + np.sqrt(var) * z[:, i]
-    return out
-
-
 def _sample_unit_fgn(n: int, hurst: float, rng: np.random.Generator,
                      n_paths: int) -> np.ndarray:
     if hurst == 1.0:
         # Perfectly correlated noise: one normal repeated along the path.
         return np.repeat(rng.standard_normal((n_paths, 1)), n, axis=1)
-    eigs = _circulant_eigenvalues(n, hurst)
-    if eigs is not None:
-        return _fgn_circulant(n, eigs, rng, n_paths)
-    return _fgn_durbin_levinson(n, hurst, rng, n_paths)
+    return _fgn_circulant(n, _circulant_eigenvalues(n, hurst), rng, n_paths)
 
 
 def generate_fgn(n: int, hurst: float, spacing: float = 1.0,

@@ -78,21 +78,17 @@ class LobParams:
     def validate(self) -> None:
         if self.half_width < 1:
             raise ParameterError(f"half_width must be at least 1, got {self.half_width!r}")
-        if self.order_size <= 0:
-            raise ParameterError(f"order_size must be positive, got {self.order_size!r}")
+        for name in ("order_size", "slot_size", "initial_price"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ParameterError(f"{name} must be positive, got {value!r}")
         p = self.event_probs
-        if len(p) != 4 or any(q < 0 for q in p) or abs(sum(p) - 1.0) > 1e-12:
+        if len(p) != 4 or not all(q >= 0 for q in p) or not abs(sum(p) - 1.0) <= 1e-12:
             raise ParameterError(
                 f"event_probs must be 4 nonnegative values summing to 1, got {p!r}"
             )
         if self.steps < 1:
             raise ParameterError(f"steps must be at least 1, got {self.steps!r}")
-        if self.slot_size <= 0:
-            raise ParameterError(f"slot_size must be positive, got {self.slot_size!r}")
-        if self.initial_price <= 0:
-            raise ParameterError(
-                f"initial_price must be positive, got {self.initial_price!r}"
-            )
         if self.placement not in (TWO_SIDED, SIDES_ONLY):
             raise ParameterError(f"unknown placement {self.placement!r}")
 

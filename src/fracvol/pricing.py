@@ -20,8 +20,6 @@ horizon-adjusted fit used when comparing against Monte Carlo.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,19 +228,6 @@ class SmileSurface:
     delta_vs_bs: np.ndarray
 
 
-def worker_count(n_tasks: int) -> int:
-    """Thread budget: FRACVOL_THREADS if set, else the CPU count."""
-    raw = os.environ.get("FRACVOL_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ParameterError(f"FRACVOL_THREADS must be an integer, got {raw!r}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 def smile_surface(model: ModelParams, sigma_t: float,
                   moneyness: np.ndarray | None = None,
                   taus: np.ndarray | None = None,
@@ -251,9 +236,8 @@ def smile_surface(model: ModelParams, sigma_t: float,
     """Price, implied vol and deviation from Black-Scholes over a grid.
 
     moneyness is S/K at fixed spot; the defaults cover S/K in [0.5, 1.5]
-    and tau in [5, 100]. Grid points are independent and are evaluated on a
-    thread pool; results are ordered by grid index, so the output does not
-    depend on the thread count.
+    and tau in [5, 100]. Grid points are evaluated one at a time, row by
+    row in moneyness.
     """
     model.validate()
     disp = VolDispersion(alpha) if alpha is not None else VolDispersion.from_model(model)
@@ -264,17 +248,13 @@ def smile_surface(model: ModelParams, sigma_t: float,
     if np.any(mgrid <= 0) or np.any(tgrid <= 0):
         raise ParameterError("moneyness and taus must be positive")
 
-    def one_point(idx: int) -> tuple[float, float, float]:
-        i, j = divmod(idx, tgrid.size)
-        opt = OptionInputs(spot=spot, strike=spot / mgrid[i], rate=rate,
-                           sigma_t=sigma_t, tau=tgrid[j])
-        value = price(opt, disp, nodes)
-        return value, implied_vol(value, opt), value - black_scholes(opt)
-
-    n_points = mgrid.size * tgrid.size
-    with ThreadPoolExecutor(max_workers=worker_count(n_points)) as pool:
-        rows = list(pool.map(one_point, range(n_points)))
-    out = np.array(rows, float).reshape(mgrid.size, tgrid.size, 3)
+    out = np.empty((mgrid.size, tgrid.size, 3))
+    for i, m in enumerate(mgrid):
+        for j, tau in enumerate(tgrid):
+            opt = OptionInputs(spot=spot, strike=spot / m, rate=rate,
+                               sigma_t=sigma_t, tau=tau)
+            value = price(opt, disp, nodes)
+            out[i, j] = value, implied_vol(value, opt), value - black_scholes(opt)
     return SmileSurface(moneyness=mgrid, taus=tgrid, price=out[..., 0],
                         implied_vol=out[..., 1], delta_vs_bs=out[..., 2])
 

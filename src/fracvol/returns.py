@@ -36,12 +36,16 @@ class ReturnDistParams:
 
     def validate(self) -> None:
         check_hurst(self.hurst)
-        if self.k < 0:
+        for name in ("beta", "mu"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
+        if not (self.k >= 0 and np.isfinite(self.k)):
             raise ParameterError(f"k must be nonnegative, got {self.k!r}")
-        if self.delta <= 0:
-            raise ParameterError(f"delta must be positive, got {self.delta!r}")
-        if self.lag <= 0:
-            raise ParameterError(f"lag must be positive, got {self.lag!r}")
+        for name in ("delta", "lag"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ParameterError(f"{name} must be positive, got {value!r}")
 
     @property
     def theta(self) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import GridMismatchError, ParameterError
 from .fgn import _sample_unit_fgn, check_hurst
@@ -52,11 +51,15 @@ class ModelParams:
 
     def validate(self) -> None:
         check_hurst(self.hurst)
-        if self.delta <= 0:
+        for name in ("mu", "beta"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
+        if not (self.delta > 0 and np.isfinite(self.delta)):
             raise ParameterError(f"delta must be positive, got {self.delta!r}")
-        if self.k < 0:
+        if not (self.k >= 0 and np.isfinite(self.k)):
             raise ParameterError(f"k must be nonnegative, got {self.k!r}")
-        if self.kprime is not None and self.kprime < 0:
+        if self.kprime is not None and not (self.kprime >= 0 and np.isfinite(self.kprime)):
             raise ParameterError(f"kprime must be nonnegative, got {self.kprime!r}")
         if self.coupling not in (INDEPENDENT_DRIVERS, IDENTIFIED_DRIVERS):
             raise ParameterError(f"unknown coupling {self.coupling!r}")
@@ -138,30 +141,21 @@ def _check_path_args(params: ModelParams, n_steps: int, dt: float, s0: float) ->
     params.validate()
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    if dt <= 0:
+    if not (dt > 0 and np.isfinite(dt)):
         raise ParameterError(f"dt must be positive, got {dt!r}")
-    if s0 <= 0:
+    if not (s0 > 0 and np.isfinite(s0)):
         raise ParameterError(f"s0 must be positive, got {s0!r}")
 
 
 def simulate_path(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
                   seed: int = 0) -> MarketPath:
-    """Simulate one path of the fGn-form model.
+    """Simulate one path of the fGn-form model: row 0 of path_ensemble.
 
     This form has no mechanism to share drivers, so identified coupling is
     rejected; use simulate_identified for leverage studies.
     """
-    _check_path_args(params, n_steps, dt, s0)
-    if params.coupling == IDENTIFIED_DRIVERS:
-        raise ParameterError(
-            "identified drivers require the moving-average form; "
-            "use simulate_identified"
-        )
-    logvol = _logvol_grid(params, n_steps + 1, dt, substream(seed, _VOL), 1)[0]
-    eps = np.sqrt(dt) * substream(seed, _PRICE).standard_normal(n_steps)
-    prices = _advance_prices(logvol, eps, params.mu, dt, s0)
-    times = np.arange(n_steps + 1) * dt
-    return MarketPath(times=times, prices=prices, logvol=logvol, seed=int(seed))
+    times, prices, logvol = path_ensemble(params, n_steps, dt, s0, seed, n_paths=1)
+    return MarketPath(times=times, prices=prices[0], logvol=logvol[0], seed=int(seed))
 
 
 def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
@@ -175,7 +169,7 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
     if params.coupling == IDENTIFIED_DRIVERS:
         raise ParameterError(
             "identified drivers require the moving-average form; "
-            "use identified_return_ensemble"
+            "use simulate_identified or identified_return_ensemble"
         )
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
@@ -195,6 +189,17 @@ def calibrated_kprime(params: ModelParams, dt: float, history: int) -> float:
     return params.k * params.delta ** (params.hurst - 1.0) / np.sqrt(np.sum(w**2) * dt)
 
 
+def _valid_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of x convolved with w, keeping only the fully overlapped part.
+
+    out[:, j] = sum_i w[i] x[:, j + len(w) - 1 - i]. A circular FFT
+    convolution of length >= x.shape[1] wraps only into the discarded head.
+    """
+    size = 1 << (x.shape[1] - 1).bit_length()
+    full = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(w, size), size)
+    return full[:, len(w) - 1 : x.shape[1]]
+
+
 def _identified_logvol_eps(params: ModelParams, n_steps: int, dt: float,
                            history: int, rng_vol: np.random.Generator,
                            rng_price: np.random.Generator | None,
@@ -209,7 +214,7 @@ def _identified_logvol_eps(params: ModelParams, n_steps: int, dt: float,
         kp = calibrated_kprime(params, dt, history)
     e = np.sqrt(dt) * rng_vol.standard_normal((n_paths, history + n_steps))
     w = _kernel(history, dt, params.hurst)
-    core = fftconvolve(e, w[None, :], mode="valid", axes=1)  # (n_paths, n_steps + 1)
+    core = _valid_convolve(e, w)  # (n_paths, n_steps + 1)
     logvol = params.beta + kp * core
     if rng_price is None:
         # Identified drivers: the price is pushed by the negative of the

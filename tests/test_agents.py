@@ -151,9 +151,6 @@ def test_population_bookkeeping():
     np.testing.assert_array_equal(pop.strategy_codes(), [72, 72, 72, 60, 60])
     np.testing.assert_allclose(pop.wealth0, 13.0)
     np.testing.assert_allclose(pop.payoffs(1.5), 0.0)
-    one = pop.agent(3)
-    assert one.strategy.entries == (1, -1, 1, -1)
-    assert one.payoff(2.0) == pytest.approx(10.0 + 2.0 * 2.0 - 13.0)
     with pytest.raises(ParameterError):
         Population.from_counts([])
     with pytest.raises(ParameterError):

@@ -1,10 +1,14 @@
 """Command-line artifacts: formats, exit codes, ingestion, atomicity."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracvol
 from fracvol.cli import main
 from fracvol.errors import IngestionError
 from fracvol.io import (PRICE_HEADER, atomic_write, ingest_prices, json_text,
@@ -238,6 +242,45 @@ def test_abm_config_errors(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("key, body", [
+    ("population", "population = 72:abc\n"),
+    ("impact.lambda0", "impact.lambda0 = x\n"),
+    ("steps", "steps = ten\n"),
+], ids=["population", "impact.lambda0", "steps"])
+def test_abm_malformed_number_names_its_key(tmp_path, capsys, key, body):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "x.csv"
+    assert main(["abm", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ParameterError" and key in doc["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--k", "nan"], None),
+    (["pdf", "--k", "nan"], None),
+    (["lob", "--order-size", "nan", "--steps", "300"], None),
+    (["abm", "--steps", "600"], "noise_sigma = nan\n"),
+    (["abm", "--steps", "600"], "impact.lambda0 = inf\n"),
+    (["abm", "--steps", "600"], "cash0 = nan\n"),
+], ids=["simulate-k", "pdf-k", "lob-order_size", "abm-noise_sigma",
+        "abm-impact.lambda0", "abm-cash0"])
+def test_non_finite_parameters_rejected(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+    assert not out.exists()
+
+
 def test_lob_with_trace(tmp_path, capsys):
     out = tmp_path / "lob.csv"
     tr = tmp_path / "events.csv"
@@ -271,6 +314,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    # a fresh interpreter, as every CLI call starts one; the package root
+    # goes first on PYTHONPATH because a relative entry does not resolve
+    # from tmp_path
+    package_root = os.path.dirname(os.path.dirname(
+        os.path.abspath(fracvol.__file__)))
+    pythonpath = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    code = ("import fracvol, sys; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_runs_leave_only_artifacts(tmp_path, capsys):

@@ -2,9 +2,13 @@
 import numpy as np
 import pytest
 
-from fracvol.errors import ParameterError
-from fracvol.fgn import (FgnSeries, fbm_covariance, fbm_from_fgn,
-                         fgn_autocovariance, generate_fgn)
+from oracles import fgn_durbin_levinson
+
+from fracvol import fgn
+from fracvol.errors import GenerationError, ParameterError
+from fracvol.fgn import (FgnSeries, _circulant_eigenvalues, _sample_unit_fgn,
+                         fbm_covariance, fbm_from_fgn, fgn_autocovariance,
+                         generate_fgn)
 from fracvol.rng import substream
 
 
@@ -61,15 +65,42 @@ def test_hurst_one_is_a_single_shared_draw():
 
 
 def test_fallback_sampler_agrees_in_law():
-    # compare second moments of the sequential sampler with the fft one
-    from fracvol.fgn import _fgn_durbin_levinson, _sample_unit_fgn
+    # compare second moments of the sequential reference sampler with the
+    # fft one
     h, n, paths = 0.75, 64, 800
-    dl = _fgn_durbin_levinson(n, h, substream(123), paths)
+    dl = fgn_durbin_levinson(n, h, substream(123), paths)
     ci = _sample_unit_fgn(n, h, substream(321), paths)
     lag1 = fgn_autocovariance(1, h)
     for x in (dl, ci):
         assert (x * x).mean() == pytest.approx(1.0, abs=0.03)
         assert (x[:, :-1] * x[:, 1:]).mean() == pytest.approx(lag1, abs=0.03)
+
+
+def test_near_unit_hurst_embedding_is_clipped_not_refused():
+    # at this size the computed embedding has round-off negative eigenvalues
+    # (about -2e-4 against a largest of about 1e5); they are clipped within
+    # the round-off bound instead of refusing the embedding
+    n, h = 65537, 0.99999
+    eigs = _circulant_eigenvalues(n, h)
+    assert eigs.shape == (2 * n,) and eigs.min() >= 0.0
+    # the sampler's marginal variance is the mean eigenvalue
+    assert eigs.mean() == pytest.approx(1.0, abs=1e-4)
+    # one path is nearly a single shared normal, so its mean square is a
+    # chi-square(1) draw; its spread about its own mean has expectation
+    # 1 - n^(2H-2)
+    x = generate_fgn(n, h, seed=0).values
+    assert np.all(np.isfinite(x))
+    assert 0.5 < x.var() / (1.0 - n ** (2.0 * h - 2.0)) < 2.0
+
+
+def test_embedding_beyond_round_off_is_refused(monkeypatch):
+    # gamma = (1, 0.9, 0) is not a covariance: its 4-circulant has the
+    # eigenvalue 1 - 2 * 0.9 = -0.8, far below any round-off bound
+    monkeypatch.setattr(fgn, "fgn_autocovariance",
+                        lambda lag, hurst: np.select([lag == 0, lag == 1],
+                                                     [1.0, 0.9], 0.0))
+    with pytest.raises(GenerationError, match="eigenvalue -0.8 "):
+        fgn._circulant_eigenvalues(2, 0.7)
 
 
 def test_fbm_accumulation():

@@ -11,8 +11,7 @@ from fracvol.errors import GridMismatchError, NoSolutionError, ParameterError
 from fracvol.fgn import generate_fgn
 from fracvol.pricing import (OptionInputs, VolDispersion, black_scholes,
                              implied_vol, m_function, mean_variance_fit,
-                             monte_carlo_price, price, smile_surface,
-                             worker_count)
+                             monte_carlo_price, price, smile_surface)
 from fracvol.simulate import ModelParams
 
 ATM = OptionInputs(spot=1.0, strike=1.0, rate=0.001, sigma_t=0.01, tau=20.0)
@@ -146,29 +145,6 @@ def test_smile_grows_with_coupling():
     assert np.all(lo.price > 0) and np.all(np.isfinite(hi.implied_vol))
     with pytest.raises(ParameterError):
         smile_surface(ModelParams(), 0.01, moneyness=np.array([-1.0]))
-
-
-def test_smile_thread_invariance(monkeypatch):
-    grid = dict(moneyness=np.array([0.9, 1.1]), taus=np.array([10.0, 40.0]))
-    monkeypatch.setenv("FRACVOL_THREADS", "1")
-    one = smile_surface(ModelParams(), 0.01, **grid)
-    monkeypatch.setenv("FRACVOL_THREADS", "4")
-    four = smile_surface(ModelParams(), 0.01, **grid)
-    np.testing.assert_array_equal(one.price, four.price)
-    np.testing.assert_array_equal(one.implied_vol, four.implied_vol)
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.setenv("FRACVOL_THREADS", "3")
-    assert worker_count(10) == 3
-    assert worker_count(2) == 2
-    monkeypatch.setenv("FRACVOL_THREADS", "0")
-    assert worker_count(10) == 1
-    monkeypatch.setenv("FRACVOL_THREADS", "abc")
-    with pytest.raises(ParameterError):
-        worker_count(10)
-    monkeypatch.delenv("FRACVOL_THREADS")
-    assert worker_count(10) >= 1
 
 
 def test_mean_variance_fit_zero_coupling():

@@ -4,8 +4,10 @@ import pytest
 
 from fracvol.errors import GridMismatchError, ParameterError
 from fracvol.estimation import leverage
-from fracvol.simulate import (IDENTIFIED_DRIVERS, MarketPath, ModelParams,
-                              calibrated_kprime, identified_return_ensemble,
+from fracvol.rng import substream
+from fracvol.simulate import (_ENS_VOL, IDENTIFIED_DRIVERS, MarketPath,
+                              ModelParams, calibrated_kprime,
+                              identified_return_ensemble,
                               logvol_marginal_moments, path_ensemble,
                               simulate_identified, simulate_path)
 
@@ -72,6 +74,18 @@ def test_ensemble_prefix_stable_in_path_count():
     np.testing.assert_array_equal(p4, p8[:4])
 
 
+@pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+def test_single_path_is_row_zero_of_the_ensemble(dt):
+    params = ModelParams()
+    path = simulate_path(params, 300, dt, s0=2.0, seed=4)
+    times, prices, logvol = path_ensemble(params, 300, dt, s0=2.0, seed=4,
+                                          n_paths=3)
+    np.testing.assert_array_equal(path.times, times)
+    np.testing.assert_array_equal(path.prices, prices[0])
+    np.testing.assert_array_equal(path.logvol, logvol[0])
+    assert path.seed == 4
+
+
 def test_ensemble_terminal_mean_at_zero_drift():
     _, prices, _ = path_ensemble(ModelParams(), 200, 1.0, seed=17, n_paths=2000)
     terminal = prices[:, -1]
@@ -85,6 +99,27 @@ def test_identified_ensemble_shape_and_replay():
     b = identified_return_ensemble(params, 500, 1.0, seed=3, n_paths=8)
     assert a.shape == (8, 500)
     np.testing.assert_array_equal(a, b)
+
+
+def test_identified_ensemble_matches_direct_convolution():
+    # the moving average written out with np.convolve on the same stream
+    params = ModelParams(beta=-4.0, mu=0.01, hurst=0.7,
+                         coupling=IDENTIFIED_DRIVERS)
+    n_steps, dt, history, paths = 40, 0.5, 16, 3
+    got = identified_return_ensemble(params, n_steps, dt, history=history,
+                                     seed=6, n_paths=paths)
+    e = np.sqrt(dt) * substream(6, _ENS_VOL, 0).standard_normal(
+        (paths, history + n_steps))
+    w = (np.arange(1, history + 1) * dt) ** (params.hurst - 1.5)
+    kp = calibrated_kprime(params, dt, history)
+    logvol = params.beta + kp * np.array([np.convolve(row, w, mode="valid")
+                                          for row in e])
+    sig = np.exp(logvol[:, :-1])
+    want = (params.mu - 0.5 * sig**2) * dt - sig * e[:, history:]
+    # returns near zero cancel drift against shock, so the tolerance is
+    # relative to the largest return
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_identified_coupling_produces_leverage():
