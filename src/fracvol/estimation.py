@@ -40,8 +40,8 @@ def induced_volatility(log_prices, window: int, dt: float = 1.0,
     w = int(window)
     if w < 8:
         raise ParameterError(f"window must be at least 8 samples, got {window}")
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt!r}")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if len(x) <= w:
         raise InsufficientDataError(
             f"need more than window={w} samples, got {len(x)}"
@@ -77,8 +77,8 @@ def integrated_logvol_decompose(vol, delta: float = 1.0) -> LogvolDecomposition:
     The fitted line plus r_sigma reconstructs the cumulative series exactly.
     """
     v = np.asarray(vol, dtype=float)
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta!r}")
+    if not (delta > 0 and np.isfinite(delta)):
+        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
     bad = np.flatnonzero(~(v > 0))
     if bad.size:
         raise ParameterError(
@@ -185,6 +185,8 @@ class EstimationReport:
 
 
 def _subsample_step(delta: float, dt: float) -> int:
+    if not (delta > 0 and np.isfinite(delta)):
+        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
     ratio = delta / dt
     step = round(ratio)
     if step < 1 or abs(ratio - step) > 1e-9 * step:
@@ -205,8 +207,12 @@ def estimate_report(prices, dt: float = 1.0, window: int = 21,
     at the smallest positive estimate; n_floored reports how many.
     """
     p = np.asarray(prices, dtype=float)
-    if np.any(p <= 0):
-        raise ParameterError("prices must be strictly positive")
+    bad = np.flatnonzero(~((p > 0) & np.isfinite(p)))
+    if bad.size:
+        raise ParameterError(
+            f"prices must be finite and strictly positive; first offender "
+            f"{float(p[bad[0]])!r} at index {bad[0]}"
+        )
     log_p = np.log(p)
     sigma = induced_volatility(log_p, window, dt, detrend=detrend, debias=debias)
     step = _subsample_step(delta, dt)

@@ -51,8 +51,8 @@ def fgn_autocovariance(lag, hurst: float, spacing: float = 1.0):
     gamma(k) = (spacing^(2H) / 2) (|k+1|^(2H) - 2|k|^(2H) + |k-1|^(2H))
     """
     h = check_hurst(hurst)
-    if spacing <= 0:
-        raise ParameterError(f"spacing must be positive, got {spacing!r}")
+    if not (spacing > 0 and np.isfinite(spacing)):
+        raise ParameterError(f"spacing must be positive and finite, got {spacing!r}")
     k = np.asarray(lag, dtype=float)
     if np.any(k < 0):
         raise ParameterError("lag must be >= 0")
@@ -141,8 +141,8 @@ def generate_fgn(n: int, hurst: float, spacing: float = 1.0,
     h = check_hurst(hurst)
     if n < 1:
         raise ParameterError(f"need at least one sample, got n={n}")
-    if spacing <= 0:
-        raise ParameterError(f"spacing must be positive, got {spacing!r}")
+    if not (spacing > 0 and np.isfinite(spacing)):
+        raise ParameterError(f"spacing must be positive and finite, got {spacing!r}")
     rng = substream(seed)
     values = _sample_unit_fgn(int(n), h, rng, 1)[0] * spacing**h
     return FgnSeries(values=values, spacing=float(spacing), hurst=h, seed=int(seed))

@@ -31,6 +31,11 @@ SIDES_ONLY = "sides_only"
 
 _LOB_STREAM = 5
 _PIPELINE_WINDOW = 21  # placeholder log-volatility window for emitted paths
+# keeps every placement span within numpy's 32-bit bounded-integer path,
+# which _arrivals replays; warm-up alone is 2*10**7 arrivals at this width
+_MAX_HALF_WIDTH = 2 ** 20
+_RAW_BLOCK = 1 << 12  # raw Philox words per numpy call; small keeps peak RSS flat
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass
@@ -76,8 +81,9 @@ class LobParams:
     placement: str = TWO_SIDED
 
     def validate(self) -> None:
-        if self.half_width < 1:
-            raise ParameterError(f"half_width must be at least 1, got {self.half_width!r}")
+        if not 1 <= self.half_width <= _MAX_HALF_WIDTH:
+            raise ParameterError(
+                f"half_width must be in [1, 2**20], got {self.half_width!r}")
         for name in ("order_size", "slot_size", "initial_price"):
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
@@ -183,6 +189,7 @@ def lob_step(book: BookState, params: LobParams, rng: np.random.Generator,
              trace: list | None = None) -> BookState:
     """Draw one arrival and apply it, mutating the book in place.
 
+    This is the single-event reference that run_lob reproduces bit for bit.
     Consumes one uniform for the event type and, for limit arrivals, one
     integer for the placement slot. When trace is a list, appends one
     (event, slot, price) tuple: slot is the arrival slot for limit orders
@@ -211,6 +218,59 @@ def lob_step(book: BookState, params: LobParams, rng: np.random.Generator,
     return book
 
 
+def _arrivals(rng: np.random.Generator, event_probs, span: int):
+    """Yield (event, offset) pairs: the draws of successive lob_step calls.
+
+    lob_step draws rng.random() for the event and, for a limit event,
+    rng.integers(span) for the placement offset. Neither depends on the
+    book, so the stream is replayed here from raw 64-bit Philox words, read
+    in blocks: random() is (word >> 11) * 2**-53, and integers(span) is
+    numpy's 32-bit Lemire draw (Lemire 2019), which takes the low half of a
+    fresh word and keeps the high half for the next call, redraws while the
+    low word of the product is below 2**32 % span, and draws nothing when
+    span is 1. Market events carry offset 0.
+    """
+    from itertools import chain, repeat
+
+    blocks = map(lambda size: rng.bit_generator.random_raw(size).tolist(),
+                 repeat(_RAW_BLOCK))
+    word = chain.from_iterable(blocks).__next__
+    pa, pb, pm, _ = event_probs
+    c_ask, c_bid, c_buy = pa, pa + pb, pa + pb + pm
+    reject_below = (1 << 32) % span
+    spare = None  # high half of the last word split by integers()
+    while True:
+        u = (word() >> 11) * 2.0 ** -53
+        if u >= c_bid:
+            yield (MARKET_BUY if u < c_buy else MARKET_SELL), 0
+            continue
+        offset = 0
+        if span > 1:
+            while True:
+                if spare is None:
+                    w64 = word()
+                    low, spare = w64 & _MASK32, w64 >> 32
+                else:
+                    low, spare = spare, None
+                m = low * span
+                if m & _MASK32 >= reject_below:
+                    break
+            offset = m >> 32
+        yield (LIMIT_ASK if u < c_ask else LIMIT_BID), offset
+
+
+def _recenter(side: list, shift: int) -> tuple[list, int]:
+    """Recenter a window list on the price `shift` slots away; return the
+    new list and the number of resting orders that fell out of it."""
+    if shift > 0:
+        gone = side[:shift]
+        side = side[shift:] + [0.0] * shift
+    else:
+        gone = side[shift:]
+        side = [0.0] * -shift + side[:shift]
+    return side, len(gone) - gone.count(0.0)
+
+
 def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
     """Run the book and emit the recorded price path.
 
@@ -221,22 +281,116 @@ def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
     estimate stamped at each window end (pipeline_logvol). A trace list
     collects (event, slot, price) tuples for the recorded steps only;
     entry i describes the arrival between path rows i and i+1.
+
+    The result is bit for bit that of a loop of lob_step from an empty
+    BookState: the draws come from _arrivals, and each side of the book is
+    a list over the window whose index j holds slot price_slot - w + j, so
+    index w is the price slot. A limit order that serves a pending register
+    rests at its arrival slot before the window recenters on it, which
+    leaves the same book as apply_event's move-then-rest.
     """
+    from itertools import islice
+
     params.validate()
-    rng = substream(params.seed, _LOB_STREAM)
-    book = BookState(price_slot=0, slot_size=params.slot_size,
-                     half_width=params.half_width)
-    for _ in range(10 * (2 * params.half_width + 1)):
-        lob_step(book, params, rng)
-    slots = np.empty(params.steps + 1, dtype=np.int64)
-    slots[0] = book.price_slot
-    for i in range(1, params.steps + 1):
-        lob_step(book, params, rng, trace)
-        slots[i] = book.price_slot
-    prices = params.initial_price + params.slot_size * slots
-    if np.any(prices <= 0):
+    w = params.half_width
+    n = 2 * w + 1
+    sides_only = params.placement == SIDES_ONLY
+    arrivals = _arrivals(substream(params.seed, _LOB_STREAM), params.event_probs,
+                         w if sides_only else n)
+    ask_base = w + 1 if sides_only else 0
+    # closest-first scans; ties go to the lower slot for buys, higher for sells
+    buy_scan, sell_scan = [w], [w]
+    for k in range(1, w + 1):
+        buy_scan += (w - k, w + k)
+        sell_scan += (w + k, w - k)
+    order_size = float(params.order_size)
+    x0, dx = params.initial_price, params.slot_size
+    asks, bids = [0.0] * n, [0.0] * n
+    n_asks = n_bids = 0
+    pending_buys = pending_sells = 0.0
+    p = 0
+    slots = []
+    record = slots.append
+    tracing = trace is not None
+    for count, recording in ((10 * n, False), (params.steps, True)):
+        if recording:
+            record(p)
+        for event, j in islice(arrivals, count):
+            move = w
+            if event == LIMIT_ASK:
+                j += ask_base
+                slot = p - w + j
+                size = order_size
+                if pending_buys > 0:
+                    matched = min(size, pending_buys)
+                    pending_buys -= matched
+                    size -= matched
+                    move = j
+                if size > 0:
+                    if not asks[j]:
+                        n_asks += 1
+                    asks[j] += size
+            elif event == LIMIT_BID:
+                slot = p - w + j
+                size = order_size
+                if pending_sells > 0:
+                    matched = min(size, pending_sells)
+                    pending_sells -= matched
+                    size -= matched
+                    move = j
+                if size > 0:
+                    if not bids[j]:
+                        n_bids += 1
+                    bids[j] += size
+            elif event == MARKET_BUY:
+                if n_asks:
+                    for move in buy_scan:
+                        if asks[move]:
+                            break
+                    size = asks[move]  # take one unit, park the shortfall
+                    if size > 1.0:
+                        asks[move] = size - 1.0
+                    else:
+                        asks[move] = 0.0
+                        n_asks -= 1
+                        pending_buys += 1.0 - size
+                else:
+                    pending_buys += 1.0
+            else:
+                if n_bids:
+                    for move in sell_scan:
+                        if bids[move]:
+                            break
+                    size = bids[move]  # take one unit, park the shortfall
+                    if size > 1.0:
+                        bids[move] = size - 1.0
+                    else:
+                        bids[move] = 0.0
+                        n_bids -= 1
+                        pending_sells += 1.0 - size
+                else:
+                    pending_sells += 1.0
+            if move != w:
+                shift = move - w
+                p += shift
+                if n_asks:
+                    asks, gone = _recenter(asks, shift)
+                    n_asks -= gone
+                if n_bids:
+                    bids, gone = _recenter(bids, shift)
+                    n_bids -= gone
+            if recording:
+                record(p)
+                if tracing:
+                    trace.append((event, slot if event <= LIMIT_BID else p,
+                                  float(x0 + dx * p)))
+    prices = x0 + dx * np.array(slots, dtype=np.int64)
+    below = np.flatnonzero(prices <= 0)
+    if below.size:
+        step = int(below[0])
         raise GenerationError(
-            "price walked below zero; raise initial_price for this configuration"
+            f"price walked to {float(prices[step])!r} at recorded step {step} "
+            f"(seed {params.seed}); raise initial_price for this configuration"
         )
     vol = induced_volatility(np.log(prices), _PIPELINE_WINDOW)
     logvol = pipeline_logvol(vol, len(prices), _PIPELINE_WINDOW)

@@ -86,8 +86,9 @@ class VolDispersion:
         params.validate()
         alpha = params.k * params.delta ** (params.hurst - 1.0)
         if horizon is not None:
-            if horizon <= 0:
-                raise ParameterError(f"horizon must be positive, got {horizon!r}")
+            if not (horizon > 0 and math.isfinite(horizon)):
+                raise ParameterError(
+                    f"horizon must be positive and finite, got {horizon!r}")
             alpha *= max(horizon / params.delta, 1.0) ** (params.hurst - 1.0)
         return cls(alpha)
 
@@ -283,8 +284,8 @@ def mean_variance_fit(params: ModelParams, tau: float) -> tuple[float, float]:
 
 
 def _horizon_steps(params: ModelParams, tau: float) -> int:
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau!r}")
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ParameterError(f"tau must be positive and finite, got {tau!r}")
     steps = round(tau / params.delta)
     if steps < 1 or abs(tau / params.delta - steps) > 1e-9 * steps:
         raise GridMismatchError(

@@ -152,6 +152,20 @@ def test_estimate_failures(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_rejects_nan_price(tmp_path, capsys):
+    rows = ["t,price"] + [f"{i}.0,{1.0 + 0.01 * (i % 7)}" for i in range(60)]
+    rows[31] = "30.0,nan"
+    src = tmp_path / "nan.csv"
+    src.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    assert main(["estimate", str(src), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "IngestionError" and "line 32" in doc["message"]
+    assert not out.exists()
+
+
 def test_pdf_grid(tmp_path, capsys):
     out = tmp_path / "pdf.csv"
     assert main(["pdf", "--tau", "2.0", "--out", str(out)]) == 0

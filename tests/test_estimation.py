@@ -156,3 +156,10 @@ def test_report_grid_rules():
     assert len(rep.r_sigma) == (2000 - 20 + 1) // 2
     with pytest.raises(ParameterError):
         estimate_report(-prices)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_report_rejects_non_finite_prices(bad):
+    prices = np.r_[np.ones(100), bad, np.ones(100)]
+    with pytest.raises(ParameterError, match="finite.*at index 100"):
+        estimate_report(prices)

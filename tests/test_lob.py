@@ -1,13 +1,14 @@
 """Order-book transitions against worked examples and a reference engine."""
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from fracvol.errors import GenerationError, ParameterError
-from fracvol.lob import (LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL,
-                         SIDES_ONLY, BookState, LobParams, apply_event,
-                         lob_step, run_lob)
+from fracvol.lob import (_LOB_STREAM, _RAW_BLOCK, LIMIT_ASK, LIMIT_BID,
+                         MARKET_BUY, MARKET_SELL, SIDES_ONLY, BookState,
+                         LobParams, _arrivals, apply_event, lob_step, run_lob)
 from fracvol.rng import substream
 
 from oracles import book_as_dict, ref_lob_apply
@@ -152,13 +153,90 @@ def test_price_floor_guard():
         run_lob(LobParams(initial_price=0.5, steps=5000, seed=0))
 
 
+def test_price_floor_error_names_seed_step_and_price():
+    # default parameters at seed 24 walk down 1000 slots to a price of 0.0
+    with pytest.raises(GenerationError,
+                       match=r"price walked to 0\.0 at recorded step 87664 "
+                             r"\(seed 24\)"):
+        run_lob(LobParams(seed=24))
+    path = run_lob(LobParams(seed=24, steps=87663))
+    assert path.prices.min() > 0  # so step 87664 is the first bad one
+
+
+def _lob_step_run(params):
+    """run_lob's prices and trace, rebuilt from a loop of lob_step."""
+    rng = substream(params.seed, _LOB_STREAM)
+    book = BookState(slot_size=params.slot_size, half_width=params.half_width)
+    for _ in range(10 * (2 * params.half_width + 1)):
+        lob_step(book, params, rng)
+    slots, trace = [book.price_slot], []
+    for _ in range(params.steps):
+        lob_step(book, params, rng, trace)
+        slots.append(book.price_slot)
+    return params.initial_price + params.slot_size * np.array(slots), trace
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("config", [
+    {},
+    {"placement": SIDES_ONLY},
+    {"half_width": 1},
+    {"half_width": 1, "placement": SIDES_ONLY},
+    {"event_probs": (0.3, 0.2, 0.1, 0.4), "order_size": 0.7},
+    {"half_width": 3, "order_size": 1.3},
+], ids=["defaults", "sides_only", "w1", "w1-sides_only", "skewed-0.7",
+        "w3-1.3"])
+def test_run_lob_equals_lob_step_loop(config, seed):
+    params = LobParams(steps=1500, seed=seed, **config)
+    trace = []
+    path = run_lob(params, trace)
+    ref_prices, ref_trace = _lob_step_run(params)
+    np.testing.assert_array_equal(path.prices, ref_prices)
+    assert trace == ref_trace
+
+
+@pytest.mark.parametrize("span", [1, 2, 21, 2**21 + 1, 2**31 + 1])
+def test_arrival_replay_matches_scalar_draws(span):
+    if span == 2**31 + 1:
+        # numpy redraws while the low product word is below 2**32 % span,
+        # which here is about half of all draws
+        assert (1 << 32) % span > 2**30
+    probs = pa, pb, pm, _ = (0.3, 0.2, 0.1, 0.4)
+    rng = substream(9, 1)
+    # each arrival takes at least one word, so the replay crosses blocks
+    count = 3 * _RAW_BLOCK
+    replay = itertools.islice(_arrivals(substream(9, 1), probs, span), count)
+    for event, offset in replay:
+        u = rng.random()
+        expect = (LIMIT_ASK if u < pa else LIMIT_BID if u < pa + pb
+                  else MARKET_BUY if u < pa + pb + pm else MARKET_SELL)
+        assert event == expect
+        limit = expect in (LIMIT_ASK, LIMIT_BID)
+        assert offset == (int(rng.integers(span)) if limit else 0)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "78b8d49e9e8d1f50f0301552d086af02708760d63573b059d25a7d174c16dcc2"),
+    (7, "139cebfd9a6b97eaf6ccf0834d2a5be3560e659e751fa7301fe2a12e887daef5"),
+])
+def test_run_lob_golden_digest(seed, digest):
+    # prices and trace of the dict-book implementation, pinned byte for byte
+    trace = []
+    path = run_lob(LobParams(steps=4096, seed=seed), trace)
+    h = hashlib.sha256(path.prices.tobytes())
+    h.update(repr(trace).encode())
+    assert h.hexdigest() == digest
+
+
 def test_params_validation():
     for bad in (LobParams(half_width=0), LobParams(order_size=0.0),
                 LobParams(steps=0), LobParams(slot_size=0.0),
                 LobParams(initial_price=-1.0), LobParams(placement="x"),
-                LobParams(event_probs=(0.3, 0.3, 0.3, 0.3))):
+                LobParams(event_probs=(0.3, 0.3, 0.3, 0.3)),
+                LobParams(half_width=2**20 + 1)):
         with pytest.raises(ParameterError):
             bad.validate()
+    LobParams(half_width=2**20).validate()
     with pytest.raises(ParameterError):
         BookState(asks={99: 1.0}).validate()
     with pytest.raises(ParameterError):

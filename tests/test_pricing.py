@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from fracvol.errors import GridMismatchError, NoSolutionError, ParameterError
-from fracvol.fgn import generate_fgn
+from fracvol.estimation import estimate_report, induced_volatility
+from fracvol.fgn import fgn_autocovariance, generate_fgn
 from fracvol.pricing import (OptionInputs, VolDispersion, black_scholes,
                              implied_vol, m_function, mean_variance_fit,
                              monte_carlo_price, price, smile_surface)
@@ -196,3 +197,18 @@ def test_input_validation():
     base = VolDispersion.from_model(ModelParams()).alpha
     scaled = VolDispersion.from_model(ModelParams(), horizon=16.0).alpha
     assert scaled == pytest.approx(base * 16.0 ** (0.83 - 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: generate_fgn(8, 0.7, spacing=x),
+    lambda x: fgn_autocovariance(np.arange(4), 0.7, spacing=x),
+    lambda x: VolDispersion.from_model(ModelParams(), horizon=x),
+    lambda x: mean_variance_fit(ModelParams(), x),
+    lambda x: induced_volatility(np.zeros(40), 21, dt=x),
+    lambda x: estimate_report(np.ones(100), delta=x),
+], ids=["fgn-spacing", "autocov-spacing", "dispersion-horizon",
+        "mean_variance_fit-tau", "induced_vol-dt", "estimate-delta"])
+def test_library_entry_points_reject_non_finite(call, bad):
+    with pytest.raises(ParameterError):
+        call(bad)
