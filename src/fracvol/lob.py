@@ -53,16 +53,17 @@ class BookState:
     def validate(self) -> None:
         if self.half_width < 1:
             raise ParameterError(f"half_width must be at least 1, got {self.half_width!r}")
-        if self.slot_size <= 0:
+        if not (self.slot_size > 0 and np.isfinite(self.slot_size)):
             raise ParameterError(f"slot_size must be positive, got {self.slot_size!r}")
-        if self.pending_buys < 0 or self.pending_sells < 0:
-            raise ParameterError("pending registers must be nonnegative")
+        if not all(p >= 0 and np.isfinite(p)
+                   for p in (self.pending_buys, self.pending_sells)):
+            raise ParameterError("pending registers must be finite and nonnegative")
         lo, hi = self.price_slot - self.half_width, self.price_slot + self.half_width
         for name, side in (("ask", self.asks), ("bid", self.bids)):
             for slot, size in side.items():
                 if not lo <= slot <= hi:
                     raise ParameterError(f"{name} at slot {slot} outside window [{lo}, {hi}]")
-                if size <= 0:
+                if not (size > 0 and np.isfinite(size)):
                     raise ParameterError(f"{name} at slot {slot} has size {size!r}")
 
 
@@ -81,6 +82,10 @@ class LobParams:
     placement: str = TWO_SIDED
 
     def validate(self) -> None:
+        for name in ("half_width", "steps"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.half_width <= _MAX_HALF_WIDTH:
             raise ParameterError(
                 f"half_width must be in [1, 2**20], got {self.half_width!r}")

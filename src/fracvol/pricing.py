@@ -37,6 +37,7 @@ _SPREAD_SDS = 8.0  # quadrature window, in units of alpha
 # implied-vol bisection bracket and price tolerance
 _IV_LO, _IV_HI = 1e-8, 5.0
 _IV_TOL = 1e-10
+_BLOCK = 64  # kernel rows per pass: each (rows, nodes) temporary stays near 256 kB
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,6 @@ class OptionInputs:
                 raise ParameterError(f"{name} must be positive, got {value!r}")
         if not np.isfinite(self.rate):
             raise ParameterError(f"rate must be finite, got {self.rate!r}")
-
-    @property
-    def log_moneyness_rate(self) -> float:
-        """a = (log(S/K)/sqrt(tau) + r sqrt(tau)) / sigma_t."""
-        root = math.sqrt(self.tau)
-        return (math.log(self.spot / self.strike) / root + self.rate * root) / self.sigma_t
-
-    @property
-    def half_vol_horizon(self) -> float:
-        """b = (sigma_t / 2) sqrt(tau); always positive."""
-        return 0.5 * self.sigma_t * math.sqrt(self.tau)
 
 
 @dataclass(frozen=True)
@@ -93,25 +83,45 @@ class VolDispersion:
         return cls(alpha)
 
 
+def _terms(spot: float, strike, rate: float, tau) -> tuple[np.ndarray, ...]:
+    """(drift, sqrt(tau), K e^(-r tau)) per (strike, tau), where a = drift/sigma
+    and b = sigma sqrt(tau)/2; math per point, so grid and scalar agree."""
+    root = [math.sqrt(t) for t in tau]
+    drift = [math.log(spot / k) / r + rate * r for k, r in zip(strike, root)]
+    discounted = [k * math.exp(-rate * t) for k, t in zip(strike, tau)]
+    return np.array([drift, root, discounted])
+
+
+def _contract(opt: OptionInputs) -> tuple[np.ndarray, ...]:
+    opt.validate()
+    return _terms(opt.spot, [opt.strike], opt.rate, [opt.tau])
+
+
+def _bs(spot, drift, root, discounted, sigma):
+    """Black-Scholes call S Phi(a+b) - K e^(-r tau) Phi(a-b), elementwise."""
+    a, b = drift / sigma, 0.5 * sigma * root
+    return spot * ndtr(a + b) - discounted * ndtr(a - b)
+
+
 def _gauss_exp(u: np.ndarray, alpha: float) -> np.ndarray:
     """N(u; 0, alpha^2) * e^u, the smooth part of the integrand."""
     return np.exp(u - 0.5 * (u / alpha) ** 2) / (alpha * _SQRT_2PI)
 
 
-def _m_plain(alpha: float, a: float, b: float, lo: float, hi: float,
-             nodes: int) -> float:
-    x, w = _leggauss(nodes)
+def _m_plain(alpha, a, b, lo, hi, x, w) -> np.ndarray:
+    """M rows for columns a, b on [lo, hi], bounds given per row or shared;
+    shared scalar bounds compute the window's exponentials once for all rows."""
     rad = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo) + rad * x
     c = a * np.exp(u) + b * np.exp(-u)
     # e^u / c rewritten to stay finite when e^u overflows
     smooth = np.exp(-0.5 * (u / alpha) ** 2) / (a + b * np.exp(-2.0 * u))
     vals = 0.5 * smooth * erfc(-c / _SQRT2) / (alpha * _SQRT_2PI)
-    return rad * float(w @ vals)
+    # one dot per row: a matrix-vector product may add in another order
+    return np.ravel(rad) * np.array([w @ row for row in vals])
 
 
-def _m_split(alpha: float, a: float, b: float, ustar: float, lo: float,
-             hi: float, nodes: int) -> float:
+def _m_split(alpha, a, b, ustar, half, x, w) -> np.ndarray:
     """Integrate across the zero of c at u* with symmetric node pairs.
 
     Writing h(u) = N(u; 0, alpha^2) e^u and c+ = c(u* + v), the pair sum is
@@ -119,67 +129,112 @@ def _m_split(alpha: float, a: float, b: float, ustar: float, lo: float,
     because c(u*-v) = -c(u*+v) exactly. Both terms are smooth through v = 0,
     so plain Gauss-Legendre in v converges; the leftover asymmetric piece of
     the window has |c| bounded away from zero and is integrated directly.
+    Columns a, b, u* hold one row each.
     """
-    d = min(ustar - lo, hi - ustar)
-    x, w = _leggauss(nodes)
+    lo, hi = -half, half
+    d = np.minimum(ustar - lo, hi - ustar)
     v = 0.5 * d * (x + 1.0)
-    c = math.copysign(2.0 * math.sqrt(-a * b), a) * np.sinh(v)
+    c = np.copysign(2.0 * np.sqrt(-a * b), a) * np.sinh(v)
     h_plus = _gauss_exp(ustar + v, alpha)
     h_minus = _gauss_exp(ustar - v, alpha)
     pair = (h_plus - h_minus) / c + (h_plus + h_minus) * erf(c / _SQRT2) / c
-    total = 0.25 * d * float(w @ pair)
-    if ustar - lo > d:
-        total += _m_plain(alpha, a, b, lo, ustar - d, nodes)
-    elif hi - ustar > d:
-        total += _m_plain(alpha, a, b, ustar + d, hi, nodes)
-    return total
+    total = 0.25 * d.ravel() * np.array([w @ row for row in pair])
+    # the leftover piece lies below u* - d, else above u* + d (empty at u* = 0)
+    low = ustar - lo > d
+    return total + _m_plain(alpha, a, b, np.where(low, lo, ustar + d),
+                            np.where(low, ustar - d, hi), x, w)
+
+
+def _m_rows(alpha: float, a: np.ndarray, b: np.ndarray, nodes: int) -> np.ndarray:
+    """M(alpha, a_i, b_i) for alpha > 0, in blocks of _BLOCK rows."""
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ParameterError(f"a and b must be finite, got {float(a[i])!r}, {float(b[i])!r}")
+    if nodes < 2:
+        raise ParameterError(f"node count must be >= 2, got {nodes}")
+    x, w = _leggauss(nodes)
+    half = _SPREAD_SDS * alpha
+    out = np.empty(a.size)
+    for start in range(0, a.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        ab, bb, res = a[rows, None], b[rows, None], out[rows]
+        # u* = log(-b/a)/2, where c = a e^u + b e^-u changes sign (a b < 0)
+        ustar = np.array([0.5 * math.log(-q / p) if p * q < 0 else math.nan
+                          for p, q in zip(a[rows].tolist(), b[rows].tolist())])[:, None]
+        split = ((-half < ustar) & (ustar < half)).ravel()
+        if split.any():
+            res[split] = _m_split(alpha, ab[split], bb[split], ustar[split], half, x, w)
+        if not split.all():
+            res[~split] = _m_plain(alpha, ab[~split], bb[~split], -half, half, x, w)
+    return out
 
 
 def m_function(alpha: float, a: float, b: float, nodes: int = 512) -> float:
     """M(alpha, a, b); the alpha = 0 limit is Phi(a + b) / (a + b)."""
     if not (alpha >= 0 and np.isfinite(alpha)):
         raise ParameterError(f"alpha must be >= 0, got {alpha!r}")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ParameterError(f"a and b must be finite, got {a!r}, {b!r}")
     if a == 0.0 and b == 0.0:
         raise ParameterError("a = b = 0 makes the integrand singular everywhere")
-    if nodes < 2:
-        raise ParameterError(f"node count must be >= 2, got {nodes}")
     if alpha == 0.0:
         d = a + b
-        if d == 0.0:
-            raise ParameterError(
-                "a + b = 0: the alpha -> 0 limit Phi(a+b)/(a+b) diverges"
-            )
+        if not np.isfinite(d) or d == 0.0:
+            raise ParameterError(f"a + b = {d!r}: the alpha -> 0 limit "
+                                 "Phi(a+b)/(a+b) needs a finite nonzero sum")
         return float(ndtr(d) / d)
-    half = _SPREAD_SDS * alpha
-    if a * b < 0:
-        ustar = 0.5 * math.log(-b / a)
-        if -half < ustar < half:
-            return _m_split(alpha, a, b, ustar, -half, half, nodes)
-    return _m_plain(alpha, a, b, -half, half, nodes)
+    return float(_m_rows(alpha, np.array([a], float), np.array([b], float), nodes)[0])
+
+
+def _mixture(alpha, spot, drift, root, discounted, sigma, nodes):
+    """Calls under dispersion alpha > 0: S (a M(a,b) + b M(b,a))
+    - K e^(-r tau) (a M(a,-b) - b M(-b,a)), one kernel pass for all legs."""
+    a, b = drift / sigma, 0.5 * sigma * root
+    first = np.concatenate([a, b, a, -b])  # each leg's coefficient is its first argument
+    legs = first * _m_rows(alpha, first, np.concatenate([b, a, -b, a]), nodes)
+    legs = legs.reshape(4, -1)
+    return spot * (legs[0] + legs[1]) - discounted * (legs[2] + legs[3])
+
+
+def _implied_vols(target, spot, drift, root, discounted, label) -> np.ndarray:
+    """Bisection on [1e-8, 5] for every point, stopping each at 1e-10 in
+    price; label(i) prefixes the error for the first point without one."""
+    intrinsic = np.maximum(0.0, spot - discounted)
+    band = ~((intrinsic < target) & (target < spot))
+    edge = _bs(spot, drift, root, discounted, _IV_LO) >= target
+    high = _bs(spot, drift, root, discounted, _IV_HI) < target
+    bad = band | (~edge & high)
+    if bad.any():
+        i = int(np.argmax(bad))
+        reason = (f"outside the no-arbitrage band ({float(intrinsic[i])!r}, "
+                  f"{float(spot)!r})" if band[i] else f"needs volatility above {_IV_HI}")
+        raise NoSolutionError(f"{label(i)}target price {float(target[i])!r} {reason}")
+    # a point that stops is frozen at lo = hi = mid, so it keeps that mid;
+    # band-edge points start frozen at the bracket floor
+    lo = np.full(target.shape, _IV_LO)
+    hi = np.where(edge, _IV_LO, _IV_HI)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        diff = _bs(spot, drift, root, discounted, mid) - target
+        stop = (np.abs(diff) <= _IV_TOL) | (hi - lo <= 1e-15)
+        if stop.all():
+            return mid
+        below = diff < 0
+        lo, hi = np.where(stop | below, mid, lo), np.where(stop | ~below, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def black_scholes(opt: OptionInputs) -> float:
     """Classical call price S Phi(a+b) - K e^(-r tau) Phi(a-b)."""
-    opt.validate()
-    a, b = opt.log_moneyness_rate, opt.half_vol_horizon
-    discounted = opt.strike * math.exp(-opt.rate * opt.tau)
-    return float(opt.spot * ndtr(a + b) - discounted * ndtr(a - b))
+    return float(_bs(opt.spot, *_contract(opt), opt.sigma_t)[0])
 
 
 def price(opt: OptionInputs, disp: VolDispersion, nodes: int = 512) -> float:
     """Call value under a lognormal vol mixture of dispersion disp.alpha."""
-    opt.validate()
+    terms = _contract(opt)
     disp.validate()
     if disp.alpha == 0.0:
         return black_scholes(opt)
-    a, b = opt.log_moneyness_rate, opt.half_vol_horizon
-    alpha = disp.alpha
-    spot_leg = a * m_function(alpha, a, b, nodes) + b * m_function(alpha, b, a, nodes)
-    strike_leg = a * m_function(alpha, a, -b, nodes) - b * m_function(alpha, -b, a, nodes)
-    discounted = opt.strike * math.exp(-opt.rate * opt.tau)
-    return float(opt.spot * spot_leg - discounted * strike_leg)
+    return float(_mixture(disp.alpha, opt.spot, *terms, opt.sigma_t, nodes)[0])
 
 
 def implied_vol(target_price: float, opt: OptionInputs) -> float:
@@ -188,34 +243,8 @@ def implied_vol(target_price: float, opt: OptionInputs) -> float:
     opt supplies spot, strike, rate and tau; its sigma_t field is ignored.
     Bracketed bisection on [1e-8, 5], stopping at 1e-10 absolute in price.
     """
-    opt.validate()
-    intrinsic = max(0.0, opt.spot - opt.strike * math.exp(-opt.rate * opt.tau))
-    if not intrinsic < target_price < opt.spot:
-        raise NoSolutionError(
-            f"target price {target_price!r} outside the no-arbitrage band "
-            f"({intrinsic!r}, {opt.spot!r})"
-        )
-
-    def bs(sigma: float) -> float:
-        return black_scholes(replace(opt, sigma_t=sigma))
-
-    lo, hi = _IV_LO, _IV_HI
-    if bs(lo) >= target_price:
-        return lo  # below the bracket; the degenerate band edge
-    if bs(hi) < target_price:
-        raise NoSolutionError(
-            f"target price {target_price!r} needs volatility above {hi}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        diff = bs(mid) - target_price
-        if abs(diff) <= _IV_TOL or hi - lo <= 1e-15:
-            return mid
-        if diff < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_implied_vols(np.array([target_price], float), opt.spot,
+                               *_contract(opt), lambda i: "")[0])
 
 
 @dataclass(frozen=True)
@@ -237,27 +266,33 @@ def smile_surface(model: ModelParams, sigma_t: float,
     """Price, implied vol and deviation from Black-Scholes over a grid.
 
     moneyness is S/K at fixed spot; the defaults cover S/K in [0.5, 1.5]
-    and tau in [5, 100]. Grid points are evaluated one at a time, row by
-    row in moneyness.
+    and tau in [5, 100]. The whole grid goes through one array pass each
+    for the price, the implied vols and Black-Scholes; every value equals
+    the scalar `price`, `implied_vol` and `black_scholes` at that point.
     """
     model.validate()
     disp = VolDispersion(alpha) if alpha is not None else VolDispersion.from_model(model)
+    disp.validate()
     mgrid = np.linspace(0.5, 1.5, 21) if moneyness is None else np.asarray(moneyness, float)
     tgrid = np.linspace(5.0, 100.0, 20) if taus is None else np.asarray(taus, float)
     if mgrid.ndim != 1 or tgrid.ndim != 1 or mgrid.size == 0 or tgrid.size == 0:
         raise ParameterError("moneyness and taus must be nonempty 1-d grids")
     if np.any(mgrid <= 0) or np.any(tgrid <= 0):
         raise ParameterError("moneyness and taus must be positive")
+    for m in (mgrid.min(), mgrid.max()):  # the strike spot/m is monotone in m
+        OptionInputs(spot, spot / m, rate, sigma_t, tgrid.max()).validate()
 
-    out = np.empty((mgrid.size, tgrid.size, 3))
-    for i, m in enumerate(mgrid):
-        for j, tau in enumerate(tgrid):
-            opt = OptionInputs(spot=spot, strike=spot / m, rate=rate,
-                               sigma_t=sigma_t, tau=tau)
-            value = price(opt, disp, nodes)
-            out[i, j] = value, implied_vol(value, opt), value - black_scholes(opt)
-    return SmileSurface(moneyness=mgrid, taus=tgrid, price=out[..., 0],
-                        implied_vol=out[..., 1], delta_vs_bs=out[..., 2])
+    shape = (mgrid.size, tgrid.size)
+    terms = _terms(spot, np.repeat(spot / mgrid, shape[1]).tolist(), rate,
+                   np.tile(tgrid, shape[0]).tolist())
+    bs = _bs(spot, *terms, sigma_t)
+    value = bs if disp.alpha == 0.0 else _mixture(disp.alpha, spot, *terms, sigma_t, nodes)
+    vols = _implied_vols(value, spot, *terms, lambda i: (
+        f"smile point moneyness={float(mgrid[i // shape[1]])!r}, "
+        f"tau={float(tgrid[i % shape[1]])!r}, alpha={float(disp.alpha)!r}: "))
+    return SmileSurface(moneyness=mgrid, taus=tgrid, price=value.reshape(shape),
+                        implied_vol=vols.reshape(shape),
+                        delta_vs_bs=(value - bs).reshape(shape))
 
 
 def mean_variance_fit(params: ModelParams, tau: float) -> tuple[float, float]:

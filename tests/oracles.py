@@ -5,9 +5,14 @@ plainest possible style, deliberately sharing no code with the package.
 """
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 from scipy import stats
+from scipy.special import erf, erfc, ndtr
 
+from fracvol.errors import NoSolutionError
 from fracvol.lob import LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL, BookState
 
 
@@ -120,3 +125,118 @@ def ref_lob_apply(state: dict, event: int, slot, order_size: float) -> dict:
     else:
         raise ValueError(f"unknown event {event!r}")
     return s
+
+
+# ----------------------------------------------------------------- pricing
+# The scalar M-kernel, Black-Scholes and implied-vol bisection, one contract
+# and one M-function leg at a time: the reference the broadcast kernel in
+# fracvol.pricing must match to the bit.
+
+@functools.lru_cache(maxsize=4)
+def _ref_leggauss(nodes):
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _ref_gauss_exp(u, alpha):
+    return np.exp(u - 0.5 * (u / alpha) ** 2) / (alpha * math.sqrt(2.0 * math.pi))
+
+
+def _ref_m_plain(alpha, a, b, lo, hi, nodes):
+    x, w = _ref_leggauss(nodes)
+    rad = 0.5 * (hi - lo)
+    u = 0.5 * (hi + lo) + rad * x
+    c = a * np.exp(u) + b * np.exp(-u)
+    smooth = np.exp(-0.5 * (u / alpha) ** 2) / (a + b * np.exp(-2.0 * u))
+    vals = (0.5 * smooth * erfc(-c / math.sqrt(2.0))
+            / (alpha * math.sqrt(2.0 * math.pi)))
+    return rad * float(w @ vals)
+
+
+def _ref_m_split(alpha, a, b, ustar, lo, hi, nodes):
+    # node pairs symmetric about the zero u* of c cancel the odd 1/c part
+    d = min(ustar - lo, hi - ustar)
+    x, w = _ref_leggauss(nodes)
+    v = 0.5 * d * (x + 1.0)
+    c = math.copysign(2.0 * math.sqrt(-a * b), a) * np.sinh(v)
+    h_plus = _ref_gauss_exp(ustar + v, alpha)
+    h_minus = _ref_gauss_exp(ustar - v, alpha)
+    pair = (h_plus - h_minus) / c + (h_plus + h_minus) * erf(c / math.sqrt(2.0)) / c
+    total = 0.25 * d * float(w @ pair)
+    if ustar - lo > d:
+        total += _ref_m_plain(alpha, a, b, lo, ustar - d, nodes)
+    elif hi - ustar > d:
+        total += _ref_m_plain(alpha, a, b, ustar + d, hi, nodes)
+    return total
+
+
+def ref_m_function(alpha, a, b, nodes=512):
+    """M(alpha, a, b) on the window [-8 alpha, 8 alpha], split at u* when
+    a b < 0 puts it inside; Phi(a + b) / (a + b) at alpha = 0."""
+    if alpha == 0.0:
+        return float(ndtr(a + b) / (a + b))
+    half = 8.0 * alpha
+    if a * b < 0:
+        ustar = 0.5 * math.log(-b / a)
+        if -half < ustar < half:
+            return _ref_m_split(alpha, a, b, ustar, -half, half, nodes)
+    return _ref_m_plain(alpha, a, b, -half, half, nodes)
+
+
+def _ref_ab(spot, strike, rate, sigma, tau):
+    root = math.sqrt(tau)
+    a = (math.log(spot / strike) / root + rate * root) / sigma
+    return a, 0.5 * sigma * math.sqrt(tau)
+
+
+def ref_black_scholes(spot, strike, rate, sigma, tau):
+    a, b = _ref_ab(spot, strike, rate, sigma, tau)
+    discounted = strike * math.exp(-rate * tau)
+    return float(spot * ndtr(a + b) - discounted * ndtr(a - b))
+
+
+def ref_price(spot, strike, rate, sigma, tau, alpha, nodes=512):
+    """Call value as a * M legs: S (a M(a, b) + b M(b, a)) - K e^(-r tau)
+    (a M(a, -b) - b M(-b, a))."""
+    if alpha == 0.0:
+        return ref_black_scholes(spot, strike, rate, sigma, tau)
+    a, b = _ref_ab(spot, strike, rate, sigma, tau)
+    m = lambda p, q: ref_m_function(alpha, p, q, nodes)  # noqa: E731
+    spot_leg = a * m(a, b) + b * m(b, a)
+    strike_leg = a * m(a, -b) - b * m(-b, a)
+    discounted = strike * math.exp(-rate * tau)
+    return float(spot * spot_leg - discounted * strike_leg)
+
+
+def ref_implied_vol(target, spot, strike, rate, tau):
+    """Bisection on [1e-8, 5] to 1e-10 in price, at most 200 halvings."""
+    intrinsic = max(0.0, spot - strike * math.exp(-rate * tau))
+    if not intrinsic < target < spot:
+        raise NoSolutionError("outside the no-arbitrage band")
+    bs = lambda s: ref_black_scholes(spot, strike, rate, s, tau)  # noqa: E731
+    lo, hi = 1e-8, 5.0
+    if bs(lo) >= target:
+        return lo
+    if bs(hi) < target:
+        raise NoSolutionError("needs volatility above the bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        diff = bs(mid) - target
+        if abs(diff) <= 1e-10 or hi - lo <= 1e-15:
+            return mid
+        if diff < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ref_smile(moneyness, taus, sigma_t, alpha, spot=1.0, rate=0.001, nodes=512):
+    """(price, implied vol, price - Black-Scholes) grids, point by point."""
+    out = np.empty((len(moneyness), len(taus), 3))
+    for i, m in enumerate(moneyness):
+        for j, tau in enumerate(taus):
+            strike = spot / m
+            value = ref_price(spot, strike, rate, sigma_t, tau, alpha, nodes)
+            out[i, j] = (value, ref_implied_vol(value, spot, strike, rate, tau),
+                         value - ref_black_scholes(spot, strike, rate, sigma_t, tau))
+    return out[..., 0], out[..., 1], out[..., 2]

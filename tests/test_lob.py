@@ -1,6 +1,7 @@
 """Order-book transitions against worked examples and a reference engine."""
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -233,13 +234,19 @@ def test_params_validation():
                 LobParams(steps=0), LobParams(slot_size=0.0),
                 LobParams(initial_price=-1.0), LobParams(placement="x"),
                 LobParams(event_probs=(0.3, 0.3, 0.3, 0.3)),
-                LobParams(half_width=2**20 + 1)):
+                LobParams(half_width=2**20 + 1), LobParams(half_width=2.5),
+                LobParams(steps=10.5)):
         with pytest.raises(ParameterError):
             bad.validate()
     LobParams(half_width=2**20).validate()
-    with pytest.raises(ParameterError):
-        BookState(asks={99: 1.0}).validate()
-    with pytest.raises(ParameterError):
-        BookState(pending_buys=-1.0).validate()
+    for bad in (LobParams(half_width=2.5), LobParams(steps=10.5)):
+        with pytest.raises(ParameterError):
+            run_lob(bad)
+    for bad in (BookState(asks={99: 1.0}), BookState(pending_buys=-1.0),
+                BookState(asks={0: math.nan}), BookState(bids={0: math.inf}),
+                BookState(pending_buys=math.nan), BookState(pending_sells=math.inf),
+                BookState(slot_size=math.nan), BookState(slot_size=math.inf)):
+        with pytest.raises(ParameterError):
+            bad.validate()
     with pytest.raises(ParameterError):
         apply_event(BookState(), 7, None, 1.0)

@@ -1,4 +1,5 @@
 """Option valuation: kernel integrals, mixture identity, smile behavior."""
+import hashlib
 import math
 from dataclasses import replace
 
@@ -10,10 +11,12 @@ from scipy.stats import norm
 from fracvol.errors import GridMismatchError, NoSolutionError, ParameterError
 from fracvol.estimation import estimate_report, induced_volatility
 from fracvol.fgn import fgn_autocovariance, generate_fgn
-from fracvol.pricing import (OptionInputs, VolDispersion, black_scholes,
+from fracvol.pricing import (_BLOCK, OptionInputs, VolDispersion, black_scholes,
                              implied_vol, m_function, mean_variance_fit,
                              monte_carlo_price, price, smile_surface)
 from fracvol.simulate import ModelParams
+
+from oracles import ref_implied_vol, ref_m_function, ref_price, ref_smile
 
 ATM = OptionInputs(spot=1.0, strike=1.0, rate=0.001, sigma_t=0.01, tau=20.0)
 
@@ -144,8 +147,10 @@ def test_smile_grows_with_coupling():
     hi = smile_surface(ModelParams(k=2.0, hurst=0.8), **grid)
     assert np.all(np.abs(hi.delta_vs_bs) > np.abs(lo.delta_vs_bs))
     assert np.all(lo.price > 0) and np.all(np.isfinite(hi.implied_vol))
-    with pytest.raises(ParameterError):
-        smile_surface(ModelParams(), 0.01, moneyness=np.array([-1.0]))
+    for bad in (dict(moneyness=np.array([-1.0])), dict(moneyness=np.array([1.0, np.nan])),
+                dict(taus=np.array([5.0, np.inf])), dict(moneyness=np.array([np.inf]))):
+        with pytest.raises(ParameterError):
+            smile_surface(ModelParams(), 0.01, **bad)
 
 
 def test_mean_variance_fit_zero_coupling():
@@ -212,3 +217,90 @@ def test_input_validation():
 def test_library_entry_points_reject_non_finite(call, bad):
     with pytest.raises(ParameterError):
         call(bad)
+
+
+def _split_rows(moneyness, taus, sigma_t, alpha, rate=0.001):
+    """Kernel rows (leg by leg, then point by point): does a b < 0 put u*
+    inside the window?"""
+    flags = []
+    for leg in range(4):
+        for m in moneyness:
+            for tau in taus:
+                a = (math.log(m) / math.sqrt(tau) + rate * math.sqrt(tau)) / sigma_t
+                b = 0.5 * sigma_t * math.sqrt(tau)
+                p, q = ((a, b), (b, a), (a, -b), (-b, a))[leg]
+                flags.append(p * q < 0 and abs(0.5 * math.log(-q / p)) < 8.0 * alpha)
+    return np.array(flags)
+
+
+NEAR_BOUNDARY = dict(moneyness=np.linspace(0.975, 0.985, 21),
+                     taus=np.array([20.0, 50.0]))
+
+
+@pytest.mark.parametrize("alpha, sigma_t, grid", [
+    (None, 0.01, {}), (0.3, 0.01, {}), (0.59, 0.01, {}),
+    (0.0, 0.2, {}),  # Black-Scholes path; at sigma 0.01 deep ITM has no vol
+    (0.05, 0.01, NEAR_BOUNDARY),
+], ids=["model", "a0.3", "a0.59", "a0-bs", "split-boundary"])
+def test_smile_surface_equals_scalar_reference(alpha, sigma_t, grid):
+    model = ModelParams()
+    surf = smile_surface(model, sigma_t, alpha=alpha, **grid)
+    disp = VolDispersion.from_model(model).alpha if alpha is None else alpha
+    ref = ref_smile(surf.moneyness, surf.taus, sigma_t, disp)
+    for got, want in zip((surf.price, surf.implied_vol, surf.delta_vs_bs), ref):
+        np.testing.assert_array_equal(got, want)
+    if grid is NEAR_BOUNDARY:
+        # 168 kernel rows in three blocks, each with split and plain rows
+        split = _split_rows(surf.moneyness, surf.taus, sigma_t, disp)
+        assert split.size > 2 * _BLOCK
+        for start in range(0, split.size, _BLOCK):
+            block = split[start:start + _BLOCK]
+            assert block.any() and not block.all()
+
+
+@pytest.mark.parametrize("alpha, digest", [
+    (None, "090430cde7a1658485162f1a2d8072aaf73920b4d024586dd3c496ed5814ca63"),
+    (0.3, "e35b6d7b748a8f08c2386f39a0c60cb2cc2b9fadaa2cdfc0b4d86c927a1f960b"),
+])
+def test_smile_golden_digest(alpha, digest):
+    surf = smile_surface(ModelParams(), 0.01, alpha=alpha)
+    h = hashlib.sha256()
+    for arr in (surf.price, surf.implied_vol, surf.delta_vs_bs):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_scalar_wrappers_equal_reference():
+    failed = 0
+    for strike in np.linspace(0.5, 1.5, 11):
+        for tau in (5.0, 20.0, 50.0, 100.0):
+            opt = OptionInputs(1.0, float(strike), 0.001, 0.01, tau)
+            for alpha in (0.1, 0.3, 0.59):
+                value = price(opt, VolDispersion(alpha))
+                assert value == ref_price(1.0, float(strike), 0.001, 0.01, tau, alpha)
+                try:
+                    want = ref_implied_vol(value, 1.0, float(strike), 0.001, tau)
+                except NoSolutionError:
+                    failed += 1
+                    with pytest.raises(NoSolutionError):
+                        implied_vol(value, opt)
+                else:
+                    assert implied_vol(value, opt) == want
+    assert failed == 8
+    # u* = 0 (b = -a) leaves no piece of the window outside u* +- d
+    for alpha, a, b in [(0.0, 0.5, 0.3), (0.3, 0.2, 0.1), (0.3, 0.2, -0.1),
+                        (0.3, -0.2, 0.1), (0.3, 0.2, -50.0), (2.0, -0.3, 0.8),
+                        (0.3, 0.2, -0.2), (0.3, -0.2, 0.2)]:
+        assert m_function(alpha, a, b) == ref_m_function(alpha, a, b)
+
+
+def test_no_solution_error_names_the_point():
+    with pytest.raises(NoSolutionError) as err:
+        smile_surface(ModelParams(), 0.01, alpha=0.1)
+    msg = str(err.value)
+    assert msg.startswith("smile point moneyness=1.25, tau=5.0, alpha=0.1: ")
+    assert "no-arbitrage band (0.20399001664585414, 1.0)" in msg
+    opt = OptionInputs(np.float64(1.0), np.float64(2.0), 0.0, 0.01, np.float64(5.0))
+    with pytest.raises(NoSolutionError) as err:
+        implied_vol(np.float64(0.0), opt)
+    assert str(err.value) == "target price 0.0 outside the no-arbitrage band (0.0, 1.0)"
