@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.special import expit
 
-from .errors import InsufficientDataError, ParameterError
-from .estimation import EstimationReport, estimate_report
+from .errors import GenerationError, ParameterError
+from .estimation import EstimationReport, estimate_report, pipeline_logvol
 from .rng import substream
 from .simulate import MarketPath
 
@@ -165,7 +164,10 @@ def _signal_weight(x: float, f_choice: str, beta_f: float) -> float:
     if f_choice == STEP_F:
         return 1.0 if x >= 0.0 else 0.0  # tie goes to the up branch
     if f_choice == LOGISTIC_F:
-        return float(expit(beta_f * x))
+        try:  # equals scipy.special.expit bit for bit, overflow included
+            return 1.0 / (1.0 + math.exp(-beta_f * x))
+        except OverflowError:
+            return 0.0
     raise ParameterError(f"unknown f_choice {f_choice!r}")
 
 
@@ -327,27 +329,6 @@ class ExperimentResult:
     payoffs: np.ndarray
 
 
-def pipeline_logvol(vol: np.ndarray, n_points: int, window: int) -> np.ndarray:
-    """Align a window-volatility series with a price grid of n_points.
-
-    Each estimate is stamped at its window's last point; the pre-window head
-    repeats the first value. Zero estimates are floored at the smallest
-    positive one before taking logs.
-    """
-    positive = vol[vol > 0]
-    if positive.size == 0:
-        raise InsufficientDataError("volatility is identically zero")
-    v = np.where(vol > 0, vol, positive.min())
-    if len(v) + window - 1 != n_points:
-        raise ParameterError(
-            f"{len(v)} window estimates cannot align with {n_points} prices"
-        )
-    out = np.empty(n_points)
-    out[:window - 1] = np.log(v[0])
-    out[window - 1:] = np.log(v)
-    return out
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the market and push the price series through estimation.
 
@@ -367,7 +348,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     z = np.empty(config.n_steps + 1)
     z[0] = z0
     for j in range(1, config.n_steps + 1):
-        step(env, agents, rng, config.unit_investment)
+        try:
+            step(env, agents, rng, config.unit_investment)
+        except OverflowError:  # math.exp(env.z) in step
+            raise GenerationError(
+                f"log price {env.z!r} at step {j} (seed {config.seed}) is past the "
+                "float range; lower unit_investment for this configuration") from None
         z[j] = env.z
         if config.evolution is not None and j % config.evolution.period == 0:
             evolve(agents, config.evolution, rng, math.exp(env.z))

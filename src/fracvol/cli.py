@@ -5,7 +5,8 @@ single artifact (CSV or JSON, atomic temp + rename) to --out and prints a
 one-line JSON run summary (command, seed, wall_time, output) to stdout.
 Exit codes: 0 success, 1 domain error (bad parameters or data, reported as
 one JSON line on stderr), 2 usage error. Artifacts are byte-identical
-across runs with the same arguments.
+across runs with the same arguments. Each handler imports its own module:
+only pdf, price and smile load scipy; the other commands need numpy only.
 
 The abm command reads an optional key = value config file:
 
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import agents, lob, pricing, returns, simulate
 from .errors import FracvolError, GridMismatchError, InsufficientDataError, ParameterError
 from .estimation import estimate_report
 from .io import (atomic_write, ensemble_csv, ingest_prices, json_text,
@@ -81,6 +81,7 @@ def _path_payload(path) -> dict:
 
 
 def _run_simulate(config: RunConfig) -> None:
+    from . import simulate
     p = config.params
     params = simulate.ModelParams(mu=p["mu"], beta=p["beta"], k=p["k"],
                                   delta=p["delta"], hurst=p["hurst"])
@@ -118,6 +119,7 @@ def _run_estimate(config: RunConfig) -> None:
 
 
 def _run_pdf(config: RunConfig) -> None:
+    from . import returns
     p = config.params
     params = returns.ReturnDistParams(beta=p["beta"], k=p["k"], delta=p["delta"],
                                       hurst=p["hurst"], mu=p["mu"], lag=p["tau"])
@@ -140,6 +142,7 @@ def _run_pdf(config: RunConfig) -> None:
 
 
 def _run_price(config: RunConfig) -> None:
+    from . import pricing
     p = config.params
     opt = pricing.OptionInputs(spot=p["spot"], strike=p["strike"],
                                rate=p["rate"], sigma_t=p["sigma"], tau=p["tau"])
@@ -159,6 +162,7 @@ def _run_price(config: RunConfig) -> None:
 
 
 def _run_smile(config: RunConfig) -> None:
+    from . import pricing, simulate
     p = config.params
     model = simulate.ModelParams(mu=0.0, beta=p["beta"], k=p["k"],
                                  delta=p["delta"], hurst=p["hurst"])
@@ -233,6 +237,7 @@ _ABM_FLOAT_KEYS = ("unit_investment", "noise_sigma", "value_walk_sigma",
 
 def _experiment_config(kv: dict, steps: int | None, seed: int | None):
     """Merge a key-value config with CLI overrides into an ExperimentConfig."""
+    from . import agents
     fields = {}
     impact = {}
     evolution = {}
@@ -276,6 +281,7 @@ def _experiment_config(kv: dict, steps: int | None, seed: int | None):
 
 
 def _run_abm(config: RunConfig) -> None:
+    from . import agents
     p = config.params
     kv = _parse_kv_file(p["config"]) if p["config"] else {}
     ecfg = _experiment_config(kv, p["steps"], p["cli_seed"])
@@ -295,6 +301,7 @@ def _run_abm(config: RunConfig) -> None:
 
 
 def _run_lob(config: RunConfig) -> None:
+    from . import lob
     p = config.params
     params = lob.LobParams(half_width=p["width"], order_size=p["order_size"],
                            steps=p["steps"], seed=config.seed)

@@ -61,6 +61,27 @@ def induced_volatility(log_prices, window: int, dt: float = 1.0,
     return np.sqrt(scale)
 
 
+def pipeline_logvol(vol: np.ndarray, n_points: int, window: int) -> np.ndarray:
+    """Align a window-volatility series with a price grid of n_points.
+
+    Each estimate is stamped at its window's last point; the pre-window head
+    repeats the first value. Zero estimates are floored at the smallest
+    positive one before taking logs.
+    """
+    positive = vol[vol > 0]
+    if positive.size == 0:
+        raise InsufficientDataError("volatility is identically zero")
+    v = np.where(vol > 0, vol, positive.min())
+    if len(v) + window - 1 != n_points:
+        raise ParameterError(
+            f"{len(v)} window estimates cannot align with {n_points} prices"
+        )
+    out = np.empty(n_points)
+    out[:window - 1] = np.log(v[0])
+    out[window - 1:] = np.log(v)
+    return out
+
+
 class LogvolDecomposition(NamedTuple):
     beta_hat: float
     r_sigma: np.ndarray

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import pipeline_logvol
 from .errors import GenerationError, ParameterError
-from .estimation import induced_volatility
+from .estimation import induced_volatility, pipeline_logvol
 from .rng import substream
 from .simulate import MarketPath
 

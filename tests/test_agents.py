@@ -1,4 +1,5 @@
 """Agent-market mechanics: codes, signals, impact, settlement, evolution."""
+import hashlib
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from fracvol.agents import (FUNDAMENTAL, FUNDAMENTAL_CODE, TREND_FOLLOWING,
                             ExperimentConfig, ImpactParams, MarketEnv,
                             Population, Strategy, evolve, info_vector,
                             market_impact, pipeline_logvol, run_experiment,
-                            step, strategy_code, strategy_decode)
-from fracvol.errors import InsufficientDataError, ParameterError
+                            _signal_weight, step, strategy_code,
+                            strategy_decode)
+from fracvol.errors import GenerationError, InsufficientDataError, ParameterError
 from fracvol.rng import substream
 
 
@@ -201,3 +203,39 @@ def test_config_validation():
             bad.validate()
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig(n_steps=100, f_choice="nope"))
+
+
+def test_logistic_weight_is_scipy_expit_bit_for_bit():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(20)
+    edge = np.linspace(700.0, 750.0, 2001)
+    xs = np.concatenate([
+        rng.standard_normal(20_000) * 10.0 ** rng.uniform(-4, 3, 20_000),
+        edge, -edge, [1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324],
+    ])
+    for beta_f in (1.0, 25.0, 500.0):
+        ours = np.array([_signal_weight(float(x), "logistic", beta_f) for x in xs])
+        ref = np.array([float(expit(beta_f * float(x))) for x in xs])
+        np.testing.assert_array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+# sha256 of prices then final_codes (little-endian int64) of the run below,
+# taken when the logistic weight still called scipy.special.expit
+_LOGISTIC_RUN_SHA256 = (
+    "b4c2558128105dee4bce8466ce5af6ed7682b417e54605366667d7749308541f")
+
+
+def test_logistic_run_golden_digest():
+    res = run_experiment(ExperimentConfig(n_steps=2000, f_choice="logistic",
+                                          evolution=EvolutionParams()))
+    digest = hashlib.sha256(res.path.prices.tobytes()
+                            + res.final_codes.astype("<i8").tobytes())
+    assert digest.hexdigest() == _LOGISTIC_RUN_SHA256
+
+
+def test_price_past_float_range_is_a_generation_error():
+    cfg = ExperimentConfig(n_steps=100, seed=5, unit_investment=1e300)
+    with pytest.raises(GenerationError,
+                       match=r"log price 1e\+149 at step 1 \(seed 5\)"):
+        run_experiment(cfg)

@@ -275,6 +275,22 @@ def test_abm_malformed_number_names_its_key(tmp_path, capsys, key, body):
     assert not out.exists()
 
 
+def test_abm_price_past_float_range_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("unit_investment = 1e300\n")
+    out = tmp_path / "x.csv"
+    assert main(["abm", "--steps", "100", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "GenerationError"
+    assert "at step 1 (seed 0)" in doc["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config", [
     (["simulate", "--k", "nan"], None),
     (["pdf", "--k", "nan"], None),
@@ -330,22 +346,42 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+def _fresh_python(code, cwd):
     # a fresh interpreter, as every CLI call starts one; the package root
     # goes first on PYTHONPATH because a relative entry does not resolve
-    # from tmp_path
+    # from cwd
     package_root = os.path.dirname(os.path.dirname(
         os.path.abspath(fracvol.__file__)))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    code = ("import fracvol, sys; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') "
-            "if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
-                          cwd=tmp_path)
+                          cwd=cwd)
+
+
+_LOADED_SCIPY = "[m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy']"
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
+    proc = _fresh_python(f"import fracvol, sys; print({_LOADED_SCIPY})", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # simulate, estimate, lob and abm (either signal rule) need numpy only
+    (tmp_path / "step.cfg").write_text("steps = 600\n")
+    (tmp_path / "logistic.cfg").write_text("steps = 600\nf_choice = logistic\n")
+    runs = [
+        ["simulate", "--steps", "600", "--out", "path.csv"],
+        ["estimate", "path.csv", "--out", "report.json"],
+        ["lob", "--steps", "600", "--out", "lob.csv"],
+        ["abm", "--config", "step.cfg", "--out", "step.csv"],
+        ["abm", "--config", "logistic.cfg", "--out", "logistic.csv"],
+    ]
+    for argv in runs:
+        proc = _fresh_python(
+            "import sys; from fracvol.cli import main; "
+            f"code = main({argv!r}); print(code, {_LOADED_SCIPY})", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", (argv, proc.stdout)
 
 
 def test_runs_leave_only_artifacts(tmp_path, capsys):
