@@ -20,7 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError
+from .errors import (GenerationError, ParameterError, finite, integer, nonnegative, one_of,
+                     positive)
 from .estimation import EstimationReport, estimate_report, pipeline_logvol
 from .rng import substream
 from .simulate import MarketPath
@@ -60,9 +61,8 @@ def strategy_code(strategy: Strategy) -> int:
 
 def strategy_decode(code: int) -> Strategy:
     """Inverse of strategy_code."""
+    integer(0, 80, code=code)
     c = int(code)
-    if not 0 <= c <= 80:
-        raise ParameterError(f"strategy code must lie in [0, 80], got {code!r}")
     digits = []
     for w in _CODE_WEIGHTS:
         digits.append(c // int(w) - 1)
@@ -92,10 +92,8 @@ class ImpactParams:
     alpha_exponent: float = 0.5
 
     def validate(self) -> None:
-        if not (self.lambda0 > 0 and math.isfinite(self.lambda0)):
-            raise ParameterError(f"lambda0 must be positive, got {self.lambda0!r}")
-        if not (self.lambda1 >= 0 and math.isfinite(self.lambda1)):
-            raise ParameterError(f"lambda1 must be nonnegative, got {self.lambda1!r}")
+        positive(lambda0=self.lambda0)
+        nonnegative(lambda1=self.lambda1)
         if not 0.0 < self.alpha_exponent <= 1.0:
             raise ParameterError(
                 f"alpha_exponent must lie in (0, 1], got {self.alpha_exponent!r}"
@@ -123,14 +121,9 @@ class MarketEnv:
 
     def validate(self) -> None:
         self.impact.validate()
-        for name in ("noise_sigma", "value_walk_sigma"):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be nonnegative, got {value!r}")
-        if self.f_choice not in (STEP_F, LOGISTIC_F):
-            raise ParameterError(f"unknown f_choice {self.f_choice!r}")
-        if not (self.beta_f > 0 and math.isfinite(self.beta_f)):
-            raise ParameterError(f"beta_f must be positive, got {self.beta_f!r}")
+        nonnegative(noise_sigma=self.noise_sigma, value_walk_sigma=self.value_walk_sigma)
+        one_of("f_choice", self.f_choice, (STEP_F, LOGISTIC_F))
+        positive(beta_f=self.beta_f)
 
 
 @dataclass(frozen=True)
@@ -150,10 +143,7 @@ class EvolutionParams:
     random_selection: bool = False
 
     def validate(self) -> None:
-        if self.period < 1:
-            raise ParameterError(f"period must be at least 1, got {self.period!r}")
-        if self.copiers < 1:
-            raise ParameterError(f"copiers must be at least 1, got {self.copiers!r}")
+        integer(1, period=self.period, copiers=self.copiers)
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ParameterError(
                 f"mutation_prob must lie in [0, 1], got {self.mutation_prob!r}"
@@ -211,8 +201,7 @@ class Population:
         """Build a population from (strategy_code, count) pairs."""
         rows = []
         for code, count in mix:
-            if count < 1:
-                raise ParameterError(f"count must be at least 1, got {count!r}")
+            integer(1, count=count)
             rows.extend([strategy_decode(code).entries] * int(count))
         if not rows:
             raise ParameterError("population must not be empty")
@@ -239,7 +228,8 @@ def step(env: MarketEnv, agents: Population, rng: np.random.Generator,
     net flow moves the log price through market_impact plus a noise term,
     the perceived value takes its walk step (noise first, walk second), and
     every trade settles at the post-impact price: cash falls by the order,
-    stock rises by order/price.
+    stock rises by order/price. A price e^z past the float range, above or
+    below, raises OverflowError before any trade settles.
     """
     gamma = info_vector(env.xi - env.z, env.z - env.z_prev, env.f_choice,
                         env.beta_f)
@@ -250,6 +240,8 @@ def step(env: MarketEnv, agents: Population, rng: np.random.Generator,
     env.z = env.z + market_impact(total, env.impact) + eta
     env.xi += rng.normal(0.0, env.value_walk_sigma)
     price = math.exp(env.z)
+    if price == 0.0:
+        raise OverflowError(f"log price {env.z!r} is below the float range")
     agents.cash -= orders
     agents.stock += orders / price
     return env, agents
@@ -307,16 +299,10 @@ class ExperimentConfig:
     scaling_lags: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        if self.n_steps < 1:
-            raise ParameterError(f"n_steps must be at least 1, got {self.n_steps!r}")
-        for name in ("unit_investment", "price0"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be positive, got {value!r}")
-        for name in ("cash0", "stock0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
+        integer(1, n_steps=self.n_steps)
+        integer(8, window=self.window)
+        positive(unit_investment=self.unit_investment, price0=self.price0)
+        finite(cash0=self.cash0, stock0=self.stock0)
         if self.evolution is not None:
             self.evolution.validate()
 
@@ -350,7 +336,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for j in range(1, config.n_steps + 1):
         try:
             step(env, agents, rng, config.unit_investment)
-        except OverflowError:  # math.exp(env.z) in step
+        except OverflowError:  # the price exp(env.z) in step
             raise GenerationError(
                 f"log price {env.z!r} at step {j} (seed {config.seed}) is past the "
                 "float range; lower unit_investment for this configuration") from None

@@ -40,7 +40,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,30 +48,10 @@ from .estimation import estimate_report
 from .io import (atomic_write, ensemble_csv, ingest_prices, json_text,
                  key_value_csv, market_path_csv, report_to_dict)
 
-COMMANDS = ("simulate", "estimate", "pdf", "price", "smile", "abm", "lob")
 FORMATS = ("csv", "json")
 
 _PDF_POINTS = 513
 _PDF_SPAN_SDS = 8.0
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: command, parameters, seed and output."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    output_path: str = "out"
-    format: str = "csv"
-
-    def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise ParameterError(
-                f"command must be one of {COMMANDS}, got {self.command!r}")
-        if self.format not in FORMATS:
-            raise ParameterError(
-                f"format must be one of {FORMATS}, got {self.format!r}")
 
 
 def _path_payload(path) -> dict:
@@ -80,28 +59,27 @@ def _path_payload(path) -> dict:
             "logvol": path.logvol, "seed": path.seed}
 
 
-def _run_simulate(config: RunConfig) -> None:
+def _run_simulate(args: argparse.Namespace) -> None:
     from . import simulate
-    p = config.params
-    params = simulate.ModelParams(mu=p["mu"], beta=p["beta"], k=p["k"],
-                                  delta=p["delta"], hurst=p["hurst"])
+    params = simulate.ModelParams(mu=args.mu, beta=args.beta, k=args.k,
+                                  delta=args.delta, hurst=args.hurst)
     # price grid at the volatility observation spacing
-    dt = p["delta"]
-    if p["paths"] == 1:
-        path = simulate.simulate_path(params, p["steps"], dt, seed=config.seed)
-        text = (market_path_csv(path) if config.format == "csv"
+    dt = args.delta
+    if args.paths == 1:
+        path = simulate.simulate_path(params, args.steps, dt, seed=args.seed)
+        text = (market_path_csv(path) if args.format == "csv"
                 else json_text(_path_payload(path)))
     else:
         times, prices, logvol = simulate.path_ensemble(
-            params, p["steps"], dt, seed=config.seed, n_paths=p["paths"])
-        text = (ensemble_csv(times, prices) if config.format == "csv"
+            params, args.steps, dt, seed=args.seed, n_paths=args.paths)
+        text = (ensemble_csv(times, prices) if args.format == "csv"
                 else json_text({"times": times, "prices": prices,
-                                "logvol": logvol, "seed": config.seed}))
-    atomic_write(config.output_path, text)
+                                "logvol": logvol, "seed": args.seed}))
+    atomic_write(args.out, text)
 
 
-def _run_estimate(config: RunConfig) -> None:
-    path = ingest_prices(config.params["input"])
+def _run_estimate(args: argparse.Namespace) -> None:
+    path = ingest_prices(args.input)
     if path.times.size < 2:
         raise InsufficientDataError("need at least 2 rows to estimate")
     diffs = np.diff(path.times)
@@ -113,62 +91,64 @@ def _run_estimate(config: RunConfig) -> None:
     dt = float(diffs[0])
     report = estimate_report(path.prices, dt=dt, delta=dt)
     payload = report_to_dict(report)
-    text = (key_value_csv(payload) if config.format == "csv"
+    text = (key_value_csv(payload) if args.format == "csv"
             else json_text(payload))
-    atomic_write(config.output_path, text)
+    atomic_write(args.out, text)
 
 
-def _run_pdf(config: RunConfig) -> None:
+def _run_pdf(args: argparse.Namespace) -> None:
     from . import returns
-    p = config.params
-    params = returns.ReturnDistParams(beta=p["beta"], k=p["k"], delta=p["delta"],
-                                      hurst=p["hurst"], mu=p["mu"], lag=p["tau"])
+    params = returns.ReturnDistParams(beta=args.beta, k=args.k, delta=args.delta,
+                                      hurst=args.hurst, mu=args.mu, lag=args.tau)
     params.validate()
     center = returns.central_return(params)
-    # sd of the lognormal-mixture return at this horizon
-    sd = params.theta * math.exp(params.sigma_logvol ** 2) * math.sqrt(params.lag)
+    try:  # sd of the lognormal-mixture return at this horizon
+        sd = params.theta * math.exp(params.sigma_logvol ** 2) * math.sqrt(params.lag)
+    except OverflowError:
+        sd = math.inf
+    if not math.isfinite(abs(center) + _PDF_SPAN_SDS * sd):
+        raise ParameterError(f"the return grid (sd {sd!r}) is past the float range; "
+                             "lower k or beta")
     r = np.linspace(center - _PDF_SPAN_SDS * sd, center + _PDF_SPAN_SDS * sd,
                     _PDF_POINTS)
     pdf_vals = returns.pdf(r, params)
     cdf_vals = returns.cdf(r, params)
-    if config.format == "csv":
+    if args.format == "csv":
         lines = ["r,pdf,cdf"]
         lines.extend(f"{float(x)!r},{float(f)!r},{float(c)!r}"
                      for x, f, c in zip(r, pdf_vals, cdf_vals))
         text = "\n".join(lines) + "\n"
     else:
         text = json_text({"r": r, "pdf": pdf_vals, "cdf": cdf_vals})
-    atomic_write(config.output_path, text)
+    atomic_write(args.out, text)
 
 
-def _run_price(config: RunConfig) -> None:
+def _run_price(args: argparse.Namespace) -> None:
     from . import pricing
-    p = config.params
-    opt = pricing.OptionInputs(spot=p["spot"], strike=p["strike"],
-                               rate=p["rate"], sigma_t=p["sigma"], tau=p["tau"])
-    disp = pricing.VolDispersion(p["alpha_disp"])
+    opt = pricing.OptionInputs(spot=args.spot, strike=args.strike,
+                               rate=args.rate, sigma_t=args.sigma, tau=args.tau)
+    disp = pricing.VolDispersion(args.alpha_disp)
     value = pricing.price(opt, disp)
     payload = {
         "value": value,
         "black_scholes": pricing.black_scholes(opt),
         "implied_vol": pricing.implied_vol(value, opt),
         "alpha": disp.alpha,
-        "spot": p["spot"], "strike": p["strike"], "rate": p["rate"],
-        "sigma": p["sigma"], "tau": p["tau"],
+        "spot": args.spot, "strike": args.strike, "rate": args.rate,
+        "sigma": args.sigma, "tau": args.tau,
     }
-    text = (key_value_csv(payload) if config.format == "csv"
+    text = (key_value_csv(payload) if args.format == "csv"
             else json_text(payload))
-    atomic_write(config.output_path, text)
+    atomic_write(args.out, text)
 
 
-def _run_smile(config: RunConfig) -> None:
+def _run_smile(args: argparse.Namespace) -> None:
     from . import pricing, simulate
-    p = config.params
-    model = simulate.ModelParams(mu=0.0, beta=p["beta"], k=p["k"],
-                                 delta=p["delta"], hurst=p["hurst"])
-    surf = pricing.smile_surface(model, sigma_t=p["sigma"], spot=p["spot"],
-                                 rate=p["rate"], alpha=p["alpha_disp"])
-    if config.format == "csv":
+    model = simulate.ModelParams(mu=0.0, beta=args.beta, k=args.k,
+                                 delta=args.delta, hurst=args.hurst)
+    surf = pricing.smile_surface(model, sigma_t=args.sigma, spot=args.spot,
+                                 rate=args.rate, alpha=args.alpha_disp)
+    if args.format == "csv":
         lines = ["moneyness,tau,price,implied_vol,delta_vs_bs"]
         for i, m in enumerate(surf.moneyness):
             for j, tau in enumerate(surf.taus):
@@ -181,7 +161,7 @@ def _run_smile(config: RunConfig) -> None:
         text = json_text({"moneyness": surf.moneyness, "taus": surf.taus,
                           "price": surf.price, "implied_vol": surf.implied_vol,
                           "delta_vs_bs": surf.delta_vs_bs})
-    atomic_write(config.output_path, text)
+    atomic_write(args.out, text)
 
 
 def _parse_kv_file(file_path: str) -> dict:
@@ -280,41 +260,38 @@ def _experiment_config(kv: dict, steps: int | None, seed: int | None):
     return agents.ExperimentConfig(**fields)
 
 
-def _run_abm(config: RunConfig) -> None:
+def _run_abm(args: argparse.Namespace) -> None:
     from . import agents
-    p = config.params
-    kv = _parse_kv_file(p["config"]) if p["config"] else {}
-    ecfg = _experiment_config(kv, p["steps"], p["cli_seed"])
-    config.seed = ecfg.seed
+    kv = _parse_kv_file(args.config) if args.config else {}
+    ecfg = _experiment_config(kv, args.steps, args.seed)
+    args.seed = ecfg.seed  # --seed, else the config file's, else 0
     result = agents.run_experiment(ecfg)
     report = report_to_dict(result.report)
     report["final_codes"] = result.final_codes
-    if config.format == "json":
-        atomic_write(config.output_path,
-                     json_text({"path": _path_payload(result.path),
-                                "report": report}))
+    if args.format == "json":
+        atomic_write(args.out, json_text({"path": _path_payload(result.path),
+                                          "report": report}))
         return
     # csv: price path at --out, report next to it
-    atomic_write(config.output_path, market_path_csv(result.path))
-    report_path = os.path.splitext(config.output_path)[0] + ".report.json"
+    atomic_write(args.out, market_path_csv(result.path))
+    report_path = os.path.splitext(args.out)[0] + ".report.json"
     atomic_write(report_path, json_text(report))
 
 
-def _run_lob(config: RunConfig) -> None:
+def _run_lob(args: argparse.Namespace) -> None:
     from . import lob
-    p = config.params
-    params = lob.LobParams(half_width=p["width"], order_size=p["order_size"],
-                           steps=p["steps"], seed=config.seed)
-    trace = [] if p["book_trace"] else None
+    params = lob.LobParams(half_width=args.width, order_size=args.order_size,
+                           steps=args.steps, seed=args.seed)
+    trace = [] if args.book_trace else None
     path = lob.run_lob(params, trace)
-    text = (market_path_csv(path) if config.format == "csv"
+    text = (market_path_csv(path) if args.format == "csv"
             else json_text(_path_payload(path)))
-    atomic_write(config.output_path, text)
+    atomic_write(args.out, text)
     if trace is not None:
         lines = ["step,event,slot,price"]
         lines.extend(f"{i},{lob.EVENT_NAMES[e]},{s},{price!r}"
                      for i, (e, s, price) in enumerate(trace, start=1))
-        atomic_write(p["book_trace"], "\n".join(lines) + "\n")
+        atomic_write(args.book_trace, "\n".join(lines) + "\n")
 
 
 _HANDLERS = {
@@ -326,23 +303,6 @@ _HANDLERS = {
     "abm": _run_abm,
     "lob": _run_lob,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one command; returns the process exit code."""
-    config.validate()
-    start = time.perf_counter()
-    try:
-        _HANDLERS[config.command](config)
-    except (FracvolError, OSError) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
-        return 1
-    summary = {"command": config.command, "seed": config.seed,
-               "wall_time": round(time.perf_counter() - start, 6),
-               "output": config.output_path}
-    print(json.dumps(summary, sort_keys=True))
-    return 0
 
 
 def _add_common(parser, fmt_default: str, seed_default=0) -> None:
@@ -441,23 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    params = dict(vars(ns))
-    command = params.pop("command")
-    seed = params.pop("seed")
-    out = params.pop("out")
-    fmt = params.pop("format")
-    if command == "abm":
-        # resolved against the config file inside the handler
-        params["cli_seed"] = seed
-        seed = 0 if seed is None else seed
-    return RunConfig(command=command, params=params, seed=seed,
-                     output_path=out, format=fmt)
-
-
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
-    return run(config_from_args(ns))
+    """Parse argv, run one command and return the process exit code."""
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
+    try:
+        _HANDLERS[args.command](args)
+    except (FracvolError, OSError) as err:
+        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
+              file=sys.stderr)
+        return 1
+    summary = {"command": args.command, "seed": args.seed,
+               "wall_time": round(time.perf_counter() - start, 6),
+               "output": args.out}
+    print(json.dumps(summary, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError, InsufficientDataError, ParameterError
+from .errors import (GridMismatchError, InsufficientDataError, ParameterError,
+                     grid_ratio, integer, positive)
 
 
 def _sliding_sums(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,11 +38,9 @@ def induced_volatility(log_prices, window: int, dt: float = 1.0,
     best-fit line inside each window before taking the variance.
     """
     x = np.asarray(log_prices, dtype=float)
+    integer(8, window=window)
+    positive(dt=dt)
     w = int(window)
-    if w < 8:
-        raise ParameterError(f"window must be at least 8 samples, got {window}")
-    if not (dt > 0 and np.isfinite(dt)):
-        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if len(x) <= w:
         raise InsufficientDataError(
             f"need more than window={w} samples, got {len(x)}"
@@ -61,6 +60,15 @@ def induced_volatility(log_prices, window: int, dt: float = 1.0,
     return np.sqrt(scale)
 
 
+def _floor_zeros(vol: np.ndarray) -> tuple[np.ndarray, int]:
+    """(vol with zeros floored at its smallest positive value, zero count)."""
+    above = vol[vol > 0]
+    if above.size == 0:
+        raise InsufficientDataError("volatility is identically zero")
+    n_floored = int(np.sum(vol == 0))
+    return (np.where(vol > 0, vol, above.min()) if n_floored else vol), n_floored
+
+
 def pipeline_logvol(vol: np.ndarray, n_points: int, window: int) -> np.ndarray:
     """Align a window-volatility series with a price grid of n_points.
 
@@ -68,10 +76,7 @@ def pipeline_logvol(vol: np.ndarray, n_points: int, window: int) -> np.ndarray:
     repeats the first value. Zero estimates are floored at the smallest
     positive one before taking logs.
     """
-    positive = vol[vol > 0]
-    if positive.size == 0:
-        raise InsufficientDataError("volatility is identically zero")
-    v = np.where(vol > 0, vol, positive.min())
+    v, _ = _floor_zeros(vol)
     if len(v) + window - 1 != n_points:
         raise ParameterError(
             f"{len(v)} window estimates cannot align with {n_points} prices"
@@ -98,8 +103,7 @@ def integrated_logvol_decompose(vol, delta: float = 1.0) -> LogvolDecomposition:
     The fitted line plus r_sigma reconstructs the cumulative series exactly.
     """
     v = np.asarray(vol, dtype=float)
-    if not (delta > 0 and np.isfinite(delta)):
-        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
+    positive(delta=delta)
     bad = np.flatnonzero(~(v > 0))
     if bad.size:
         raise ParameterError(
@@ -157,6 +161,7 @@ def leverage(returns, max_lag: int) -> np.ndarray:
     over time and paths. Rows are columns of (tau, L) for tau in
     [-max_lag, max_lag].
     """
+    integer(0, max_lag=max_lag)
     r = np.atleast_2d(np.asarray(returns, dtype=float))
     n = r.shape[1]
     if n <= 2 * max_lag:
@@ -205,18 +210,6 @@ class EstimationReport:
     n_floored: int
 
 
-def _subsample_step(delta: float, dt: float) -> int:
-    if not (delta > 0 and np.isfinite(delta)):
-        raise ParameterError(f"delta must be positive and finite, got {delta!r}")
-    ratio = delta / dt
-    step = round(ratio)
-    if step < 1 or abs(ratio - step) > 1e-9 * step:
-        raise GridMismatchError(
-            f"volatility spacing delta={delta!r} is not an integer multiple of dt={dt!r}"
-        )
-    return int(step)
-
-
 def estimate_report(prices, dt: float = 1.0, window: int = 21,
                     delta: float = 1.0, detrend: bool = False,
                     debias: bool = True, scaling_lags=None, max_lag: int = 10,
@@ -227,6 +220,8 @@ def estimate_report(prices, dt: float = 1.0, window: int = 21,
     produce) would make the log-volatility sum diverge, so they are floored
     at the smallest positive estimate; n_floored reports how many.
     """
+    positive(dt=dt, delta=delta)
+    integer(1, max_lag=max_lag, acf_lags=acf_lags)
     p = np.asarray(prices, dtype=float)
     bad = np.flatnonzero(~((p > 0) & np.isfinite(p)))
     if bad.size:
@@ -236,14 +231,12 @@ def estimate_report(prices, dt: float = 1.0, window: int = 21,
         )
     log_p = np.log(p)
     sigma = induced_volatility(log_p, window, dt, detrend=detrend, debias=debias)
-    step = _subsample_step(delta, dt)
-    vol = sigma[::step]
-    positive = vol[vol > 0]
-    if positive.size == 0:
-        raise InsufficientDataError("volatility is identically zero")
-    n_floored = int(np.sum(vol == 0))
-    if n_floored:
-        vol = np.where(vol > 0, vol, positive.min())
+    step = grid_ratio(delta, dt)
+    if step is None:
+        raise GridMismatchError(
+            f"volatility spacing delta={delta!r} is not an integer multiple of dt={dt!r}"
+        )
+    vol, n_floored = _floor_zeros(sigma[::step])
     decomp = integrated_logvol_decompose(vol, delta)
     hurst_hat, hurst_stderr = scaling_exponent(decomp.r_sigma, scaling_lags)
     returns = np.diff(log_p)

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError
+from .errors import GenerationError, ParameterError, finite, integer, positive
 from .rng import substream
 
 
 def check_hurst(hurst: float) -> float:
     """Validate 0 < H <= 1 and return H as a float."""
-    h = float(hurst)
-    if not np.isfinite(h) or not 0.0 < h <= 1.0:
+    finite(hurst=hurst)
+    if not 0.0 < hurst <= 1.0:
         raise ParameterError(f"Hurst exponent must satisfy 0 < H <= 1, got {hurst!r}")
-    return h
+    return float(hurst)
 
 
 def fbm_covariance(s, t, hurst: float):
@@ -51,8 +51,7 @@ def fgn_autocovariance(lag, hurst: float, spacing: float = 1.0):
     gamma(k) = (spacing^(2H) / 2) (|k+1|^(2H) - 2|k|^(2H) + |k-1|^(2H))
     """
     h = check_hurst(hurst)
-    if not (spacing > 0 and np.isfinite(spacing)):
-        raise ParameterError(f"spacing must be positive and finite, got {spacing!r}")
+    positive(spacing=spacing)
     k = np.asarray(lag, dtype=float)
     if np.any(k < 0):
         raise ParameterError("lag must be >= 0")
@@ -139,10 +138,8 @@ def generate_fgn(n: int, hurst: float, spacing: float = 1.0,
     through the self-similar scale factor spacing^H.
     """
     h = check_hurst(hurst)
-    if n < 1:
-        raise ParameterError(f"need at least one sample, got n={n}")
-    if not (spacing > 0 and np.isfinite(spacing)):
-        raise ParameterError(f"spacing must be positive and finite, got {spacing!r}")
+    integer(1, n=n)
+    positive(spacing=spacing)
     rng = substream(seed)
     values = _sample_unit_fgn(int(n), h, rng, 1)[0] * spacing**h
     return FgnSeries(values=values, spacing=float(spacing), hurst=h, seed=int(seed))

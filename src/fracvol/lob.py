@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError
+from .errors import GenerationError, ParameterError, integer, nonnegative, one_of, positive
 from .estimation import induced_volatility, pipeline_logvol
 from .rng import substream
 from .simulate import MarketPath
@@ -50,20 +50,15 @@ class BookState:
     pending_sells: float = 0.0
 
     def validate(self) -> None:
-        if self.half_width < 1:
-            raise ParameterError(f"half_width must be at least 1, got {self.half_width!r}")
-        if not (self.slot_size > 0 and np.isfinite(self.slot_size)):
-            raise ParameterError(f"slot_size must be positive, got {self.slot_size!r}")
-        if not all(p >= 0 and np.isfinite(p)
-                   for p in (self.pending_buys, self.pending_sells)):
-            raise ParameterError("pending registers must be finite and nonnegative")
+        integer(1, half_width=self.half_width)
+        positive(slot_size=self.slot_size)
+        nonnegative(pending_buys=self.pending_buys, pending_sells=self.pending_sells)
         lo, hi = self.price_slot - self.half_width, self.price_slot + self.half_width
         for name, side in (("ask", self.asks), ("bid", self.bids)):
             for slot, size in side.items():
                 if not lo <= slot <= hi:
                     raise ParameterError(f"{name} at slot {slot} outside window [{lo}, {hi}]")
-                if not (size > 0 and np.isfinite(size)):
-                    raise ParameterError(f"{name} at slot {slot} has size {size!r}")
+                positive(**{f"{name} size at slot {slot}": size})
 
 
 @dataclass(frozen=True)
@@ -81,26 +76,16 @@ class LobParams:
     placement: str = TWO_SIDED
 
     def validate(self) -> None:
-        for name in ("half_width", "steps"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.half_width <= _MAX_HALF_WIDTH:
-            raise ParameterError(
-                f"half_width must be in [1, 2**20], got {self.half_width!r}")
-        for name in ("order_size", "slot_size", "initial_price"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
-                raise ParameterError(f"{name} must be positive, got {value!r}")
+        integer(1, _MAX_HALF_WIDTH, half_width=self.half_width)
+        integer(1, steps=self.steps)
+        positive(order_size=self.order_size, slot_size=self.slot_size,
+                 initial_price=self.initial_price)
         p = self.event_probs
         if len(p) != 4 or not all(q >= 0 for q in p) or not abs(sum(p) - 1.0) <= 1e-12:
             raise ParameterError(
                 f"event_probs must be 4 nonnegative values summing to 1, got {p!r}"
             )
-        if self.steps < 1:
-            raise ParameterError(f"steps must be at least 1, got {self.steps!r}")
-        if self.placement not in (TWO_SIDED, SIDES_ONLY):
-            raise ParameterError(f"unknown placement {self.placement!r}")
+        one_of("placement", self.placement, (TWO_SIDED, SIDES_ONLY))
 
 
 def _move_price(book: BookState, new_slot: int) -> None:

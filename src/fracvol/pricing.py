@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf, erfc, ndtr
 
-from .errors import GridMismatchError, NoSolutionError, ParameterError
+from .errors import (GridMismatchError, NoSolutionError, ParameterError, finite,
+                     grid_ratio, integer, nonnegative, positive)
 from .fgn import fgn_autocovariance
 from .returns import _leggauss
 from .simulate import ModelParams, path_ensemble
@@ -51,12 +52,8 @@ class OptionInputs:
     tau: float
 
     def validate(self) -> None:
-        for name in ("spot", "strike", "sigma_t", "tau"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
-                raise ParameterError(f"{name} must be positive, got {value!r}")
-        if not np.isfinite(self.rate):
-            raise ParameterError(f"rate must be finite, got {self.rate!r}")
+        positive(spot=self.spot, strike=self.strike, sigma_t=self.sigma_t, tau=self.tau)
+        finite(rate=self.rate)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,7 @@ class VolDispersion:
     alpha: float
 
     def validate(self) -> None:
-        if not (self.alpha >= 0 and np.isfinite(self.alpha)):
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha!r}")
+        nonnegative(alpha=self.alpha)
 
     @classmethod
     def from_model(cls, params: ModelParams, horizon: float | None = None) -> "VolDispersion":
@@ -76,9 +72,7 @@ class VolDispersion:
         params.validate()
         alpha = params.k * params.delta ** (params.hurst - 1.0)
         if horizon is not None:
-            if not (horizon > 0 and math.isfinite(horizon)):
-                raise ParameterError(
-                    f"horizon must be positive and finite, got {horizon!r}")
+            positive(horizon=horizon)
             alpha *= max(horizon / params.delta, 1.0) ** (params.hurst - 1.0)
         return cls(alpha)
 
@@ -87,8 +81,11 @@ def _terms(spot: float, strike, rate: float, tau) -> tuple[np.ndarray, ...]:
     """(drift, sqrt(tau), K e^(-r tau)) per (strike, tau), where a = drift/sigma
     and b = sigma sqrt(tau)/2; math per point, so grid and scalar agree."""
     root = [math.sqrt(t) for t in tau]
-    drift = [math.log(spot / k) / r + rate * r for k, r in zip(strike, root)]
-    discounted = [k * math.exp(-rate * t) for k, t in zip(strike, tau)]
+    try:  # log(S/K) and e^(-r tau) raise past the float range
+        drift = [math.log(spot / k) / r + rate * r for k, r in zip(strike, root)]
+        discounted = [k * math.exp(-rate * t) for k, t in zip(strike, tau)]
+    except (OverflowError, ValueError):
+        raise ParameterError(f"S/K or e^(-r tau) overflows at rate={rate!r}") from None
     return np.array([drift, root, discounted])
 
 
@@ -147,20 +144,20 @@ def _m_split(alpha, a, b, ustar, half, x, w) -> np.ndarray:
 
 def _m_rows(alpha: float, a: np.ndarray, b: np.ndarray, nodes: int) -> np.ndarray:
     """M(alpha, a_i, b_i) for alpha > 0, in blocks of _BLOCK rows."""
-    finite = np.isfinite(a) & np.isfinite(b)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    ok = np.isfinite(a) & np.isfinite(b)
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise ParameterError(f"a and b must be finite, got {float(a[i])!r}, {float(b[i])!r}")
-    if nodes < 2:
-        raise ParameterError(f"node count must be >= 2, got {nodes}")
+    integer(2, nodes=nodes)
     x, w = _leggauss(nodes)
     half = _SPREAD_SDS * alpha
     out = np.empty(a.size)
     for start in range(0, a.size, _BLOCK):
         rows = slice(start, start + _BLOCK)
         ab, bb, res = a[rows, None], b[rows, None], out[rows]
-        # u* = log(-b/a)/2, where c = a e^u + b e^-u changes sign (a b < 0)
-        ustar = np.array([0.5 * math.log(-q / p) if p * q < 0 else math.nan
+        # u* = log(-b/a)/2, where c = a e^u + b e^-u changes sign (a b < 0);
+        # when b/a underflows to 0, u* lies far below any window: plain rule
+        ustar = np.array([0.5 * math.log(-q / p) if p * q < 0 and q / p else math.nan
                           for p, q in zip(a[rows].tolist(), b[rows].tolist())])[:, None]
         split = ((-half < ustar) & (ustar < half)).ravel()
         if split.any():
@@ -172,8 +169,7 @@ def _m_rows(alpha: float, a: np.ndarray, b: np.ndarray, nodes: int) -> np.ndarra
 
 def m_function(alpha: float, a: float, b: float, nodes: int = 512) -> float:
     """M(alpha, a, b); the alpha = 0 limit is Phi(a + b) / (a + b)."""
-    if not (alpha >= 0 and np.isfinite(alpha)):
-        raise ParameterError(f"alpha must be >= 0, got {alpha!r}")
+    nonnegative(alpha=alpha)
     if a == 0.0 and b == 0.0:
         raise ParameterError("a = b = 0 makes the integrand singular everywhere")
     if alpha == 0.0:
@@ -319,14 +315,13 @@ def mean_variance_fit(params: ModelParams, tau: float) -> tuple[float, float]:
 
 
 def _horizon_steps(params: ModelParams, tau: float) -> int:
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ParameterError(f"tau must be positive and finite, got {tau!r}")
-    steps = round(tau / params.delta)
-    if steps < 1 or abs(tau / params.delta - steps) > 1e-9 * steps:
+    positive(tau=tau)
+    steps = grid_ratio(tau, params.delta)
+    if steps is None:
         raise GridMismatchError(
             f"tau={tau!r} is not an integer multiple of delta={params.delta!r}"
         )
-    return int(steps)
+    return steps
 
 
 def monte_carlo_price(opt: OptionInputs, params: ModelParams,
@@ -338,6 +333,7 @@ def monte_carlo_price(opt: OptionInputs, params: ModelParams,
     The volatility level comes from params.beta; opt.sigma_t is not used.
     """
     opt.validate()
+    integer(2, n_paths=n_paths)  # the standard error needs two payoffs
     n_steps = _horizon_steps(params, opt.tau)
     rn = replace(params, mu=opt.rate)
     _, prices, _ = path_ensemble(rn, n_steps, params.delta, s0=opt.spot,

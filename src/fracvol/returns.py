@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import OutOfRegimeError, ParameterError
+from .errors import OutOfRegimeError, ParameterError, finite, integer, nonnegative, positive
 from .fgn import check_hurst
 from .rng import substream
 
@@ -36,16 +36,9 @@ class ReturnDistParams:
 
     def validate(self) -> None:
         check_hurst(self.hurst)
-        for name in ("beta", "mu"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if not (self.k >= 0 and np.isfinite(self.k)):
-            raise ParameterError(f"k must be nonnegative, got {self.k!r}")
-        for name in ("delta", "lag"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
-                raise ParameterError(f"{name} must be positive, got {value!r}")
+        finite(beta=self.beta, mu=self.mu)
+        nonnegative(k=self.k)
+        positive(delta=self.delta, lag=self.lag)
 
     @property
     def theta(self) -> float:
@@ -75,8 +68,8 @@ def _gaussian_pdf(x, mean, sd):
 
 def _mixture_nodes(params: ReturnDistParams, nodes: int, halfwidth_sds: float):
     """Log-vol quadrature nodes and their mixture weights."""
-    if nodes < 1:
-        raise ParameterError(f"node count must be positive, got {nodes}")
+    integer(1, nodes=nodes)
+    positive(halfwidth_sds=halfwidth_sds)
     s = params.sigma_logvol
     x, w = _leggauss(nodes)
     u = params.beta + halfwidth_sds * s * x
@@ -131,8 +124,7 @@ def cdf(r, params: ReturnDistParams, nodes: int = 256,
 def sample_returns(params: ReturnDistParams, n: int, seed: int = 0) -> np.ndarray:
     """Draw n returns: sigma from the lognormal, then the Gaussian return."""
     params.validate()
-    if n < 1:
-        raise ParameterError(f"need at least one sample, got n={n}")
+    integer(1, n=n)
     rng = substream(seed)
     sigma = np.exp(params.beta + params.sigma_logvol * rng.standard_normal(n))
     mean, sd = _conditional_moments(params, sigma)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .errors import (GridMismatchError, ParameterError, finite, grid_ratio, integer,
+                     nonnegative, one_of, positive)
 from .fgn import _sample_unit_fgn, check_hurst
 from .rng import substream
 
@@ -51,18 +52,12 @@ class ModelParams:
 
     def validate(self) -> None:
         check_hurst(self.hurst)
-        for name in ("mu", "beta"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if not (self.delta > 0 and np.isfinite(self.delta)):
-            raise ParameterError(f"delta must be positive, got {self.delta!r}")
-        if not (self.k >= 0 and np.isfinite(self.k)):
-            raise ParameterError(f"k must be nonnegative, got {self.k!r}")
-        if self.kprime is not None and not (self.kprime >= 0 and np.isfinite(self.kprime)):
-            raise ParameterError(f"kprime must be nonnegative, got {self.kprime!r}")
-        if self.coupling not in (INDEPENDENT_DRIVERS, IDENTIFIED_DRIVERS):
-            raise ParameterError(f"unknown coupling {self.coupling!r}")
+        finite(mu=self.mu, beta=self.beta)
+        positive(delta=self.delta)
+        nonnegative(k=self.k)
+        if self.kprime is not None:
+            nonnegative(kprime=self.kprime)
+        one_of("coupling", self.coupling, (INDEPENDENT_DRIVERS, IDENTIFIED_DRIVERS))
 
 
 @dataclass(frozen=True)
@@ -90,15 +85,6 @@ def logvol_marginal_moments(params: ModelParams) -> tuple[float, float]:
     return params.beta, params.k**2 * params.delta ** (2.0 * params.hurst - 2.0)
 
 
-def _grid_ratio(num: float, den: float) -> int | None:
-    """num/den as an exact-ish integer >= 1, or None."""
-    ratio = num / den
-    r = round(ratio)
-    if r >= 1 and abs(ratio - r) <= 1e-9 * r:
-        return int(r)
-    return None
-
-
 def _logvol_grid(params: ModelParams, n_values: int, dt: float,
                  rng: np.random.Generator, n_paths: int) -> np.ndarray:
     """(n_paths, n_values) samples of log sigma on the dt grid.
@@ -111,12 +97,12 @@ def _logvol_grid(params: ModelParams, n_values: int, dt: float,
     if params.k == 0.0:
         return np.full((n_paths, n_values), params.beta)
     scale = params.k * params.delta ** (params.hurst - 1.0)
-    hold = _grid_ratio(params.delta, dt)
+    hold = grid_ratio(params.delta, dt)
     if hold is not None:
         n_vol = -(-n_values // hold)  # ceil
         g = _sample_unit_fgn(n_vol, params.hurst, rng, n_paths)
         return params.beta + scale * np.repeat(g, hold, axis=1)[:, :n_values]
-    sub = _grid_ratio(dt, params.delta)
+    sub = grid_ratio(dt, params.delta)
     if sub is not None:
         n_fine = (n_values - 1) * sub + 1
         g = _sample_unit_fgn(n_fine, params.hurst, rng, n_paths)
@@ -137,14 +123,11 @@ def _advance_prices(logvol: np.ndarray, eps: np.ndarray, mu: float, dt: float,
     return s0 * np.exp(log_s)
 
 
-def _check_path_args(params: ModelParams, n_steps: int, dt: float, s0: float) -> None:
+def _check_path_args(params: ModelParams, n_steps: int, dt: float, s0: float,
+                     **counts: int) -> None:
     params.validate()
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    if not (dt > 0 and np.isfinite(dt)):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    if not (s0 > 0 and np.isfinite(s0)):
-        raise ParameterError(f"s0 must be positive, got {s0!r}")
+    integer(1, n_steps=n_steps, **counts)
+    positive(dt=dt, s0=s0)
 
 
 def simulate_path(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
@@ -165,14 +148,12 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
     prices and logvol have shape (n_paths, n_steps + 1). Everything is held
     in memory, so keep n_paths * n_steps within budget.
     """
-    _check_path_args(params, n_steps, dt, s0)
+    _check_path_args(params, n_steps, dt, s0, n_paths=n_paths)
     if params.coupling == IDENTIFIED_DRIVERS:
         raise ParameterError(
             "identified drivers require the moving-average form; "
             "use simulate_identified or identified_return_ensemble"
         )
-    if n_paths < 1:
-        raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     logvol = _logvol_grid(params, n_steps + 1, dt, substream(seed, _VOL), n_paths)
     eps = np.sqrt(dt) * substream(seed, _PRICE).standard_normal((n_paths, n_steps))
     prices = _advance_prices(logvol, eps, params.mu, dt, s0)
@@ -236,9 +217,7 @@ def simulate_identified(params: ModelParams, n_steps: int, dt: float,
     model is statistically equivalent to simulate_path up to kernel
     truncation.
     """
-    _check_path_args(params, n_steps, dt, s0)
-    if history < 1:
-        raise ParameterError(f"history must be >= 1, got {history}")
+    _check_path_args(params, n_steps, dt, s0, history=history)
     rng_price = None
     if params.coupling == INDEPENDENT_DRIVERS:
         rng_price = substream(seed, _PRICE)
@@ -258,11 +237,7 @@ def identified_return_ensemble(params: ModelParams, n_steps: int, dt: float,
     Paths are generated in fixed-size chunks with per-chunk substreams, so
     the output depends only on (params, n_steps, dt, history, seed, n_paths).
     """
-    _check_path_args(params, n_steps, dt, 1.0)
-    if history < 1:
-        raise ParameterError(f"history must be >= 1, got {history}")
-    if n_paths < 1:
-        raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
+    _check_path_args(params, n_steps, dt, 1.0, history=history, n_paths=n_paths)
     out = np.empty((n_paths, n_steps))
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)

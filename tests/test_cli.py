@@ -389,3 +389,27 @@ def test_runs_leave_only_artifacts(tmp_path, capsys):
     assert main(["simulate", "--steps", "32", "--out", str(out)]) == 0
     capsys.readouterr()
     assert [p.name for p in tmp_path.iterdir()] == ["only.csv"]
+
+
+@pytest.mark.parametrize("argv, config, error", [
+    (["pdf", "--k", "27"], None, "ParameterError"),
+    (["price", "--rate", "-3", "--tau", "237"], None, "ParameterError"),
+    (["price", "--spot", "1e-300", "--strike", "1e300"], None, "ParameterError"),
+    (["smile", "--sigma", "1e300"], None, "NoSolutionError"),
+    (["abm", "--steps", "100"], "population = 0:100\nunit_investment = 1e300\n",
+     "GenerationError"),
+], ids=["pdf-k-past-exp-range", "price-discount-past-exp-range",
+        "price-moneyness-underflow", "smile-sigma-underflowing-u-star",
+        "abm-log-price-below-float-range"])
+def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
+    if config is not None:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert not out.exists()
+

@@ -1,0 +1,173 @@
+"""Parameter checks: the shared rules in errors.py and every entry point
+that uses them."""
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from fracvol.agents import (EvolutionParams, ExperimentConfig, ImpactParams,
+                            MarketEnv, Population, run_experiment,
+                            strategy_decode)
+from fracvol.errors import (GenerationError, GridMismatchError, ParameterError,
+                            finite, grid_ratio, integer, nonnegative, one_of,
+                            positive)
+from fracvol.estimation import (estimate_report, induced_volatility,
+                                integrated_logvol_decompose, leverage)
+from fracvol.fgn import check_hurst, fgn_autocovariance, generate_fgn
+from fracvol.lob import BookState, LobParams
+from fracvol.pricing import (OptionInputs, VolDispersion, m_function,
+                             mean_variance_fit, monte_carlo_price, price,
+                             smile_surface)
+from fracvol.returns import ReturnDistParams, cdf, pdf, sample_returns
+from fracvol.simulate import (ModelParams, identified_return_ensemble,
+                              path_ensemble, simulate_identified, simulate_path)
+
+NOT_REAL = [None, "1.0", math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL, ids=repr)
+@pytest.mark.parametrize("check", [finite, positive, nonnegative])
+def test_real_checks_reject_non_numbers(check, bad):
+    with pytest.raises(ParameterError, match=r"^x must be .*finite, got "):
+        check(ok=1.0, x=bad)
+
+
+def test_real_checks_bounds_and_wording():
+    finite(a=-1e308, b=0, c=np.float64(2.5), d=True)
+    positive(a=5e-324, b=np.float32(1.0))
+    nonnegative(a=0.0, b=0)
+    with pytest.raises(ParameterError, match=r"^dt must be positive and finite, got 0\.0$"):
+        positive(dt=0.0)
+    with pytest.raises(ParameterError,
+                       match=r"^k must be nonnegative and finite, got -1e-300$"):
+        nonnegative(k=-1e-300)
+    with pytest.raises(ParameterError, match="^b "):  # the first bad keyword
+        finite(a=1.0, b=math.nan, c=None)
+
+
+@pytest.mark.parametrize("bad", [4096.0, 2.5, math.nan, None, "3", np.float64(3.0)],
+                         ids=repr)
+def test_integer_rejects_non_integers(bad):
+    with pytest.raises(ParameterError, match=r"^n must be an integer >= 1, got "):
+        integer(1, n=bad)
+
+
+def test_integer_accepts_numpy_integers_within_bounds():
+    integer(1, n=np.int64(4096), m=np.uint8(1), b=True)
+    integer(0, 80, code=0, top=np.int32(80))
+    with pytest.raises(ParameterError, match=r"^code must be an integer in \[0, 80\], got 81$"):
+        integer(0, 80, code=81)
+    with pytest.raises(ParameterError, match=r"^window must be an integer >= 8, got 7$"):
+        integer(8, window=7)
+
+
+def test_one_of_and_grid_ratio():
+    one_of("mode", "a", ("a", "b"))
+    with pytest.raises(ParameterError, match=r"^mode must be one of \('a', 'b'\), got 'c'$"):
+        one_of("mode", "c", ("a", "b"))
+    assert grid_ratio(3.0, 1.0) == 3 and grid_ratio(1.0, 1 / 3) == 3
+    for num, den in ((2.5, 1.0), (1.0, 2.0), (1e300, 1e-300), (1e-300, 1e300)):
+        assert grid_ratio(num, den) is None
+
+
+MODEL = ModelParams()
+OPT = OptionInputs(spot=1.0, strike=1.0, rate=0.001, sigma_t=0.01, tau=20.0)
+RDP = ReturnDistParams()
+PRICES = simulate_path(MODEL, 1500, 1.0, seed=3).prices
+
+# (entry point, bad value) pairs; at the parent design each of these either
+# raised something other than ParameterError or was silently accepted
+BAD_CALLS = {
+    "check_hurst-None": lambda: check_hurst(None),
+    "generate_fgn-n-2.5": lambda: generate_fgn(2.5, 0.7),
+    "generate_fgn-n-4096.0": lambda: generate_fgn(4096.0, 0.7),
+    "generate_fgn-spacing-None": lambda: generate_fgn(8, 0.7, spacing=None),
+    "fgn_autocovariance-spacing-str": lambda: fgn_autocovariance(1, 0.7, spacing="1"),
+    "ModelParams-mu-None": lambda: ModelParams(mu=None).validate(),
+    "ModelParams-k-str": lambda: ModelParams(k="0.5").validate(),
+    "simulate_path-n_steps-2.5": lambda: simulate_path(MODEL, 2.5, 1.0),
+    "simulate_path-dt-None": lambda: simulate_path(MODEL, 10, None),
+    "simulate_path-s0-str": lambda: simulate_path(MODEL, 10, 1.0, s0="1"),
+    "path_ensemble-n_paths-2.5": lambda: path_ensemble(MODEL, 10, 1.0, n_paths=2.5),
+    "simulate_identified-history-2.5":
+        lambda: simulate_identified(MODEL, 10, 1.0, history=2.5),
+    "identified_return_ensemble-n_paths-2.0":
+        lambda: identified_return_ensemble(MODEL, 10, 1.0, history=8, n_paths=2.0),
+    "induced_volatility-window-8.5": lambda: induced_volatility(np.log(PRICES), 8.5),
+    "estimate_report-window-21.5": lambda: estimate_report(PRICES, window=21.5),
+    "estimate_report-dt-None": lambda: estimate_report(PRICES, dt=None),
+    "estimate_report-delta-str": lambda: estimate_report(PRICES, delta="1"),
+    "estimate_report-max_lag-2.5": lambda: estimate_report(PRICES, max_lag=2.5),
+    "estimate_report-max_lag-0": lambda: estimate_report(PRICES, max_lag=0),
+    "estimate_report-acf_lags-2.5": lambda: estimate_report(PRICES, acf_lags=2.5),
+    "integrated_logvol_decompose-delta-None":
+        lambda: integrated_logvol_decompose(np.ones(10), delta=None),
+    "leverage-max_lag-2.5": lambda: leverage(np.ones(50), 2.5),
+    "OptionInputs-spot-None": lambda: OptionInputs(None, 1.0, 0.0, 0.1, 1.0).validate(),
+    "VolDispersion-alpha-None": lambda: VolDispersion(None).validate(),
+    "from_model-horizon-str": lambda: VolDispersion.from_model(MODEL, horizon="5"),
+    "mean_variance_fit-tau-None": lambda: mean_variance_fit(MODEL, None),
+    "monte_carlo_price-n_paths-1": lambda: monte_carlo_price(OPT, MODEL, n_paths=1),
+    "monte_carlo_price-n_paths-2.5": lambda: monte_carlo_price(OPT, MODEL, n_paths=2.5),
+    "price-nodes-2.5": lambda: price(OPT, VolDispersion(0.3), nodes=2.5),
+    "m_function-alpha-None": lambda: m_function(None, 0.5, 0.3),
+    "m_function-nodes-16.0": lambda: m_function(0.3, 0.5, 0.3, nodes=16.0),
+    "smile_surface-nodes-64.0": lambda: smile_surface(MODEL, 0.01, nodes=64.0),
+    "ReturnDistParams-beta-None": lambda: ReturnDistParams(beta=None).validate(),
+    "pdf-nodes-2.5": lambda: pdf(0.0, RDP, nodes=2.5),
+    "pdf-halfwidth_sds-0": lambda: pdf(0.0, RDP, halfwidth_sds=0.0),
+    "cdf-halfwidth_sds-nan": lambda: cdf(0.0, RDP, halfwidth_sds=math.nan),
+    "sample_returns-n-2.5": lambda: sample_returns(RDP, 2.5),
+    "strategy_decode-3.7": lambda: strategy_decode(3.7),
+    "from_counts-count-2.5": lambda: Population.from_counts([(72, 2.5)]),
+    "ExperimentConfig-n_steps-2.5": lambda: ExperimentConfig(n_steps=2.5).validate(),
+    "ExperimentConfig-window-21.5": lambda: ExperimentConfig(window=21.5).validate(),
+    "ExperimentConfig-window-4": lambda: ExperimentConfig(window=4).validate(),
+    "EvolutionParams-period-2.5": lambda: EvolutionParams(period=2.5).validate(),
+    "EvolutionParams-copiers-None": lambda: EvolutionParams(copiers=None).validate(),
+    "ImpactParams-lambda0-None": lambda: ImpactParams(lambda0=None).validate(),
+    "MarketEnv-noise_sigma-str": lambda: MarketEnv(noise_sigma="0.1").validate(),
+    "LobParams-order_size-None": lambda: LobParams(order_size=None).validate(),
+    "BookState-slot_size-None": lambda: BookState(slot_size=None).validate(),
+    "BookState-half_width-2.5": lambda: BookState(half_width=2.5).validate(),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_entry_point_rejects_bad_value(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_numpy_integer_counts_accepted():
+    n = np.int64
+    a = simulate_path(MODEL, n(64), 1.0, seed=2)
+    b = simulate_path(MODEL, 64, 1.0, seed=2)
+    np.testing.assert_array_equal(a.prices, b.prices)
+    assert generate_fgn(n(32), 0.7).values.tolist() == generate_fgn(32, 0.7).values.tolist()
+    assert strategy_decode(n(72)) == strategy_decode(72)
+    assert price(OPT, VolDispersion(0.3), nodes=n(64)) == price(OPT, VolDispersion(0.3),
+                                                                nodes=64)
+
+
+def test_grid_ratio_overflow_is_a_grid_mismatch():
+    with pytest.raises(GridMismatchError, match="delta=1e"):
+        estimate_report(PRICES, dt=1e-300, delta=1e300)
+
+
+def test_m_function_with_underflowing_root_uses_the_plain_rule():
+    # b/a underflows to 0, so u* = log(-b/a)/2 lies far below the window;
+    # there c ~ a e^u and M(alpha, a, b) ~ 1/a, whatever the sign of b
+    value = m_function(0.3, 1e200, -1e-200)
+    assert value == m_function(0.3, 1e200, 1e-200)
+    assert value == pytest.approx(1e-200, rel=1e-12)
+
+
+def test_price_below_float_range_is_a_generation_error():
+    cfg = ExperimentConfig(population=((0, 100),), n_steps=100, unit_investment=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero on the way
+        with pytest.raises(GenerationError,
+                           match=r"log price -1e\+149 at step 1 \(seed 0\)"):
+            run_experiment(cfg)
