@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import FracvolError, GridMismatchError, InsufficientDataError, ParameterError
 from .estimation import estimate_report
-from .io import (atomic_write, ensemble_csv, ingest_prices, json_text,
+from .io import (atomic_write, csv_text, ensemble_csv, ingest_prices, json_text,
                  key_value_csv, market_path_csv, report_to_dict)
 
 FORMATS = ("csv", "json")
@@ -113,13 +113,9 @@ def _run_pdf(args: argparse.Namespace) -> None:
                     _PDF_POINTS)
     pdf_vals = returns.pdf(r, params)
     cdf_vals = returns.cdf(r, params)
-    if args.format == "csv":
-        lines = ["r,pdf,cdf"]
-        lines.extend(f"{float(x)!r},{float(f)!r},{float(c)!r}"
-                     for x, f, c in zip(r, pdf_vals, cdf_vals))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json_text({"r": r, "pdf": pdf_vals, "cdf": cdf_vals})
+    text = (csv_text("r,pdf,cdf", r.tolist(), pdf_vals.tolist(), cdf_vals.tolist())
+            if args.format == "csv"
+            else json_text({"r": r, "pdf": pdf_vals, "cdf": cdf_vals}))
     atomic_write(args.out, text)
 
 
@@ -149,14 +145,12 @@ def _run_smile(args: argparse.Namespace) -> None:
     surf = pricing.smile_surface(model, sigma_t=args.sigma, spot=args.spot,
                                  rate=args.rate, alpha=args.alpha_disp)
     if args.format == "csv":
-        lines = ["moneyness,tau,price,implied_vol,delta_vs_bs"]
-        for i, m in enumerate(surf.moneyness):
-            for j, tau in enumerate(surf.taus):
-                lines.append(
-                    f"{float(m)!r},{float(tau)!r},{float(surf.price[i, j])!r},"
-                    f"{float(surf.implied_vol[i, j])!r},"
-                    f"{float(surf.delta_vs_bs[i, j])!r}")
-        text = "\n".join(lines) + "\n"
+        n_m, n_tau = surf.price.shape
+        text = csv_text("moneyness,tau,price,implied_vol,delta_vs_bs",
+                        np.repeat(surf.moneyness, n_tau).tolist(),
+                        np.tile(surf.taus, n_m).tolist(),
+                        *(a.ravel().tolist() for a in
+                          (surf.price, surf.implied_vol, surf.delta_vs_bs)))
     else:
         text = json_text({"moneyness": surf.moneyness, "taus": surf.taus,
                           "price": surf.price, "implied_vol": surf.implied_vol,
@@ -288,10 +282,10 @@ def _run_lob(args: argparse.Namespace) -> None:
             else json_text(_path_payload(path)))
     atomic_write(args.out, text)
     if trace is not None:
-        lines = ["step,event,slot,price"]
-        lines.extend(f"{i},{lob.EVENT_NAMES[e]},{s},{price!r}"
-                     for i, (e, s, price) in enumerate(trace, start=1))
-        atomic_write(args.book_trace, "\n".join(lines) + "\n")
+        events, slots, prices = zip(*trace)  # steps >= 1, so never empty
+        atomic_write(args.book_trace, csv_text(
+            "step,event,slot,price", range(1, len(trace) + 1),
+            [lob.EVENT_NAMES[e] for e in events], slots, prices))
 
 
 _HANDLERS = {

@@ -15,6 +15,7 @@ clipped to zero; anything lower raises GenerationError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,15 @@ def check_hurst(hurst: float) -> float:
     if not 0.0 < hurst <= 1.0:
         raise ParameterError(f"Hurst exponent must satisfy 0 < H <= 1, got {hurst!r}")
     return float(hurst)
+
+
+def check_logvol_scale(k: float, delta: float, hurst: float) -> None:
+    """For k > 0, the log-vol variance k^2 delta^(2H-2) is a finite float."""
+    try:
+        var = (float(k) * math.pow(delta, hurst - 1.0)) ** 2 if k else 0.0
+    except OverflowError:  # delta^(H-1) or its square is past the float range
+        var = math.inf
+    finite(**{"log-vol variance k^2 delta^(2H-2)": var})
 
 
 def fbm_covariance(s, t, hurst: float):

@@ -36,23 +36,24 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def csv_text(header: str, *columns) -> str:
+    """The header line, then row i joins element i of every column with ","
+    (str of a Python float is its full-precision repr), ending in a newline."""
+    rows = map(",".join, zip(*[map(str, column) for column in columns]))
+    return "\n".join([header, *rows]) + "\n"
+
+
 def market_path_csv(path: MarketPath) -> str:
     """Two-column CSV of a price path; floats keep full precision."""
-    lines = [PRICE_HEADER]
-    lines.extend(f"{float(t)!r},{float(p)!r}"
-                 for t, p in zip(path.times, path.prices))
-    return "\n".join(lines) + "\n"
+    return csv_text(PRICE_HEADER, np.asarray(path.times, float).tolist(),
+                    np.asarray(path.prices, float).tolist())
 
 
 def ensemble_csv(times: np.ndarray, prices: np.ndarray) -> str:
     """Wide CSV for a path ensemble: t,price_1,...,price_n."""
-    n_paths = prices.shape[0]
-    header = "t," + ",".join(f"price_{j + 1}" for j in range(n_paths))
-    lines = [header]
-    for i, t in enumerate(times):
-        row = ",".join(repr(float(prices[j, i])) for j in range(n_paths))
-        lines.append(f"{float(t)!r},{row}")
-    return "\n".join(lines) + "\n"
+    header = "t," + ",".join(f"price_{j + 1}" for j in range(prices.shape[0]))
+    return csv_text(header, np.asarray(times, float).tolist(),
+                    *np.asarray(prices, float).tolist())
 
 
 def ingest_prices(file_path: str) -> MarketPath:
@@ -110,18 +111,6 @@ def ingest_prices(file_path: str) -> MarketPath:
     return path
 
 
-def _json_ready(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
-
-
 def report_to_dict(report: EstimationReport) -> dict:
     """Report scalars plus the acf and leverage tables.
 
@@ -134,20 +123,18 @@ def report_to_dict(report: EstimationReport) -> dict:
         "beta_hat": float(report.beta_hat),
         "trend_intercept": float(report.trend_intercept),
         "n_floored": int(report.n_floored),
-        "acf": _json_ready(report.acf),
-        "leverage": _json_ready(report.leverage),
+        "acf": report.acf,
+        "leverage": report.leverage,
     }
 
 
 def json_text(payload: dict) -> str:
-    return json.dumps(_json_ready(payload), sort_keys=True) + "\n"
+    """Sorted-key JSON; arrays and numpy scalars go through tolist()."""
+    return json.dumps(payload, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
 
 def key_value_csv(payload: dict) -> str:
-    """Flat key,value CSV for scalar report consumers."""
-    lines = ["key,value"]
-    for key, value in sorted(payload.items()):
-        if isinstance(value, (int, float, str)):
-            lines.append(f"{key},{value!r}" if isinstance(value, float)
-                         else f"{key},{value}")
-    return "\n".join(lines) + "\n"
+    """Flat key,value CSV of the payload's scalar (int, float, str) entries."""
+    scalars = sorted((k, v) for k, v in payload.items()
+                     if isinstance(v, (int, float, str)))
+    return csv_text("key,value", *zip(*scalars))

@@ -29,7 +29,7 @@ from .errors import (GridMismatchError, NoSolutionError, ParameterError, finite,
                      grid_ratio, integer, nonnegative, positive)
 from .fgn import fgn_autocovariance
 from .returns import _leggauss
-from .simulate import ModelParams, path_ensemble
+from .simulate import ModelParams, logvol_marginal_moments, path_ensemble
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -300,9 +300,8 @@ def mean_variance_fit(params: ModelParams, tau: float) -> tuple[float, float]:
     u ~ N(0, alpha^2), gives the (sigma_t, alpha) pair that makes `price`
     comparable with the Monte Carlo oracle.
     """
-    params.validate()
+    _, s2 = logvol_marginal_moments(params)  # validates params
     n = _horizon_steps(params, tau)
-    s2 = params.k**2 * params.delta ** (2.0 * params.hurst - 2.0)
     lags = np.arange(1, n)
     rho = fgn_autocovariance(lags, params.hurst)  # unit-spacing correlation
     mean = math.exp(2.0 * params.beta + 2.0 * s2)  # E[V]

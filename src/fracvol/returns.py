@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import OutOfRegimeError, ParameterError, finite, integer, nonnegative, positive
-from .fgn import check_hurst
+from .fgn import check_hurst, check_logvol_scale
 from .rng import substream
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -39,6 +39,7 @@ class ReturnDistParams:
         finite(beta=self.beta, mu=self.mu)
         nonnegative(k=self.k)
         positive(delta=self.delta, lag=self.lag)
+        check_logvol_scale(self.k, self.delta, self.hurst)
 
     @property
     def theta(self) -> float:

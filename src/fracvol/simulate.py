@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridMismatchError, ParameterError, finite, grid_ratio, integer,
-                     nonnegative, one_of, positive)
-from .fgn import _sample_unit_fgn, check_hurst
+from .errors import (GenerationError, GridMismatchError, ParameterError, finite,
+                     grid_ratio, integer, nonnegative, one_of, positive)
+from .fgn import _sample_unit_fgn, check_hurst, check_logvol_scale
 from .rng import substream
 
 INDEPENDENT_DRIVERS = "independent_drivers"
@@ -55,6 +55,7 @@ class ModelParams:
         finite(mu=self.mu, beta=self.beta)
         positive(delta=self.delta)
         nonnegative(k=self.k)
+        check_logvol_scale(self.k, self.delta, self.hurst)
         if self.kprime is not None:
             nonnegative(kprime=self.kprime)
         one_of("coupling", self.coupling, (INDEPENDENT_DRIVERS, IDENTIFIED_DRIVERS))
@@ -75,8 +76,8 @@ class MarketPath:
             raise ParameterError("times, prices and logvol must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ParameterError("times must be strictly increasing")
-        if np.any(self.prices <= 0):
-            raise ParameterError("prices must be strictly positive")
+        if not np.all((self.prices > 0) & (self.prices < np.inf)):
+            raise ParameterError("prices must be positive and finite")
 
 
 def logvol_marginal_moments(params: ModelParams) -> tuple[float, float]:
@@ -92,7 +93,8 @@ def _logvol_grid(params: ModelParams, n_values: int, dt: float,
     The underlying noise lives at spacing delta. For dt < delta each value is
     held for delta/dt grid steps; for dt > delta the delta-grid noise is
     subsampled every dt/delta values, which is exact because the subsampled
-    entries are themselves the delta-increments at the coarse times.
+    entries are themselves the delta-increments at the coarse times. A held
+    value is repeated at most n_values times, since one may cover the path.
     """
     if params.k == 0.0:
         return np.full((n_paths, n_values), params.beta)
@@ -101,7 +103,7 @@ def _logvol_grid(params: ModelParams, n_values: int, dt: float,
     if hold is not None:
         n_vol = -(-n_values // hold)  # ceil
         g = _sample_unit_fgn(n_vol, params.hurst, rng, n_paths)
-        return params.beta + scale * np.repeat(g, hold, axis=1)[:, :n_values]
+        return params.beta + scale * np.repeat(g, min(hold, n_values), axis=1)[:, :n_values]
     sub = grid_ratio(dt, params.delta)
     if sub is not None:
         n_fine = (n_values - 1) * sub + 1
@@ -113,14 +115,22 @@ def _logvol_grid(params: ModelParams, n_values: int, dt: float,
 
 
 def _advance_prices(logvol: np.ndarray, eps: np.ndarray, mu: float, dt: float,
-                    s0: float) -> np.ndarray:
-    """Exact log-Euler: eps are the Brownian increments over each dt step."""
-    sig = np.exp(logvol[..., :-1])
-    incr = (mu - 0.5 * sig**2) * dt + sig * eps
-    log_s = np.concatenate(
-        [np.zeros(incr.shape[:-1] + (1,)), np.cumsum(incr, axis=-1)], axis=-1
-    )
-    return s0 * np.exp(log_s)
+                    s0: float, seed: int) -> np.ndarray:
+    """Exact log-Euler: eps are the Brownian increments over each dt step.
+    A price that is not positive and finite is a GenerationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = np.exp(logvol[..., :-1])
+        incr = (mu - 0.5 * sig**2) * dt + sig * eps
+        log_s = np.concatenate(
+            [np.zeros(incr.shape[:-1] + (1,)), np.cumsum(incr, axis=-1)], axis=-1
+        )
+        prices = s0 * np.exp(log_s)
+    rows = np.atleast_2d(prices)
+    if not 0.0 < rows.min() <= rows.max() < np.inf:
+        path, step = np.argwhere(~((rows > 0) & (rows < np.inf)))[0]
+        raise GenerationError(f"price {float(rows[path, step])!r} on path {path} at step "
+                              f"{step} (seed {seed}): the log price left the float range")
+    return prices
 
 
 def _check_path_args(params: ModelParams, n_steps: int, dt: float, s0: float,
@@ -156,7 +166,7 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
         )
     logvol = _logvol_grid(params, n_steps + 1, dt, substream(seed, _VOL), n_paths)
     eps = np.sqrt(dt) * substream(seed, _PRICE).standard_normal((n_paths, n_steps))
-    prices = _advance_prices(logvol, eps, params.mu, dt, s0)
+    prices = _advance_prices(logvol, eps, params.mu, dt, s0, seed)
     return np.arange(n_steps + 1) * dt, prices, logvol
 
 
@@ -218,13 +228,11 @@ def simulate_identified(params: ModelParams, n_steps: int, dt: float,
     truncation.
     """
     _check_path_args(params, n_steps, dt, s0, history=history)
-    rng_price = None
-    if params.coupling == INDEPENDENT_DRIVERS:
-        rng_price = substream(seed, _PRICE)
+    rng_price = substream(seed, _PRICE) if params.coupling == INDEPENDENT_DRIVERS else None
     logvol, eps = _identified_logvol_eps(
         params, n_steps, dt, history, substream(seed, _VOL), rng_price, 1
     )
-    prices = _advance_prices(logvol[0], eps[0], params.mu, dt, s0)
+    prices = _advance_prices(logvol[0], eps[0], params.mu, dt, s0, seed)
     times = np.arange(n_steps + 1) * dt
     return MarketPath(times=times, prices=prices, logvol=logvol[0], seed=int(seed))
 
@@ -242,9 +250,8 @@ def identified_return_ensemble(params: ModelParams, n_steps: int, dt: float,
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)
         idx = start // _CHUNK
-        rng_price = None
-        if params.coupling == INDEPENDENT_DRIVERS:
-            rng_price = substream(seed, _ENS_PRICE, idx)
+        rng_price = (substream(seed, _ENS_PRICE, idx)
+                     if params.coupling == INDEPENDENT_DRIVERS else None)
         logvol, eps = _identified_logvol_eps(
             params, n_steps, dt, history, substream(seed, _ENS_VOL, idx),
             rng_price, stop - start,

@@ -1,9 +1,11 @@
 """Command-line artifacts: formats, exit codes, ingestion, atomicity."""
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -398,18 +400,106 @@ def test_runs_leave_only_artifacts(tmp_path, capsys):
     (["smile", "--sigma", "1e300"], None, "NoSolutionError"),
     (["abm", "--steps", "100"], "population = 0:100\nunit_investment = 1e300\n",
      "GenerationError"),
+    (["simulate", "--steps", "10", "--delta", "1e-310", "--hurst", "0.001"], None,
+     "ParameterError"),
+    (["smile", "--delta", "1e-310", "--hurst", "0.001"], None, "ParameterError"),
+    (["simulate", "--steps", "5", "--beta", "700"], None, "GenerationError"),
 ], ids=["pdf-k-past-exp-range", "price-discount-past-exp-range",
         "price-moneyness-underflow", "smile-sigma-underflowing-u-star",
-        "abm-log-price-below-float-range"])
+        "abm-log-price-below-float-range", "simulate-subnormal-delta",
+        "smile-subnormal-delta", "simulate-vol-past-float-range"])
 def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
     out = tmp_path / "x.csv"
-    assert main(argv + ["--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second line
+        assert main(argv + ["--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not out.exists()
 
+
+
+# SHA-256 of every artifact a small run of each command writes, csv and json;
+# abm in csv also writes out.report.json, and lob writes the --book-trace log
+_GOLDEN_RUNS = {
+    "simulate": ["simulate", "--steps", "200", "--seed", "7"],
+    "simulate-3": ["simulate", "--steps", "100", "--paths", "3"],
+    "estimate": ["estimate", "{input}"],
+    "pdf": ["pdf", "--tau", "2.0"],
+    "pdf-k0": ["pdf", "--k", "0"],
+    "price": ["price", "--alpha-disp", "0.3", "--strike", "1.1"],
+    "smile": ["smile"],
+    "abm": ["abm", "--steps", "600", "--seed", "7", "--config", "{config}"],
+    "lob": ["lob", "--steps", "2000", "--book-trace", "{trace}"],
+}
+_GOLDEN_DIGESTS = {
+    "simulate-csv/out.csv":
+        "a669f034572c6a8f82764be20d67e2b66bcf8279e05b7f72f4a89b4f9d2394e1",
+    "simulate-json/out.json":
+        "28c6912e3fb7a3d5acf699b47170a8e8f4d9722731bcbe392f8dc3edfe6f382b",
+    "simulate-3-csv/out.csv":
+        "35671160a818cd5150a31ca03a465527e98669f7b70ac20dc77716d26549a981",
+    "simulate-3-json/out.json":
+        "e693eea7800ed5caa0f56127416b233552a784a339f54f1c52d11716d1cbed79",
+    "estimate-csv/out.csv":
+        "d89b9c502bc67c4f8cecd82e7560c3beeee3ac065bc2874724eacaa624619b7d",
+    "estimate-json/out.json":
+        "1fda5b14fa72c7c2e1a5da70eec3d28896daa9897fcf63a33b39a49d4ccd3a2d",
+    "pdf-csv/out.csv":
+        "1e434850e87e0293d9f689d93d3ba4e30395574bd6755e0a446e5d8e866a9579",
+    "pdf-json/out.json":
+        "a58dfa42dc87b6c098bf88845477853364517e062b516ac9289f78416ef3b106",
+    "pdf-k0-csv/out.csv":
+        "78bf72bd741e9654890de150bc31602f4a0de2a0e59e483b62790d5af83655e6",
+    "pdf-k0-json/out.json":
+        "6389f97b6b7717b16da8172f10bf7664a9d7137d7caad9e80b131c2114b83f43",
+    "price-csv/out.csv":
+        "df9566dc9d8ed4f8274425c464e542112e86458726d2f74bd97d1b0ab8197e85",
+    "price-json/out.json":
+        "1c5f4e9aee71ec620609b22eb99c0057f3ec89d2bb459e6ceb24f50f4b403d26",
+    "smile-csv/out.csv":
+        "3c88fb2561954c57d5b396e298dfdeb863754b82ef44bf792fef12e7779b278f",
+    "smile-json/out.json":
+        "66bbbce71c30b4f399a8fe06a6bad9997e47fd06154a9d8b93ccbedf0775c9c2",
+    "abm-csv/out.csv":
+        "ebe3d5cd8a01bc207c49ed190ca2604291f5a32f0040b64553b9ba19bab5aed1",
+    "abm-csv/out.report.json":
+        "5a361af672b62d15981afb4223af0fb450707585e16c9681c633ee168195aff9",
+    "abm-json/out.json":
+        "475763c6b4f20d6366f724a92ab9ee7b375d0f0158a17fd9b590039af7c42042",
+    "lob-csv/out.csv":
+        "b72c760254125f4c75c2fe6bf283eca478b3ecc7461768051c78fb57623ca361",
+    "lob-csv/trace.csv":
+        "59d631f40d05ef55de1770b488fe369e8a62976676cc90b990e5f709d032b910",
+    "lob-json/out.json":
+        "b7e11bb6b456ef158108c3d4caac85bdbaca24a340bb49f88e14f68e664738f0",
+    "lob-json/trace.csv":
+        "59d631f40d05ef55de1770b488fe369e8a62976676cc90b990e5f709d032b910",
+}
+
+
+def test_artifact_bytes_golden(tmp_path, capsys):
+    src = tmp_path / "input.csv"
+    assert main(["simulate", "--steps", "600", "--seed", "2", "--out", str(src)]) == 0
+    cfg = tmp_path / "logistic.cfg"
+    cfg.write_text("population = 72:30, 60:30\nf_choice = logistic\n"
+                   "evolution.period = 100\nevolution.copiers = 5\n"
+                   "evolution.mutation_prob = 0.2\n")
+    digests = {}
+    for name, argv in _GOLDEN_RUNS.items():
+        for fmt in ("csv", "json"):
+            run = tmp_path / f"{name}-{fmt}"
+            run.mkdir()
+            args = [a.format(input=src, config=cfg, trace=run / "trace.csv")
+                    for a in argv]
+            assert main(args + ["--format", fmt, "--out", str(run / f"out.{fmt}")]) == 0
+            for f in sorted(run.iterdir()):
+                digests[f"{run.name}/{f.name}"] = hashlib.sha256(
+                    f.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == _GOLDEN_DIGESTS

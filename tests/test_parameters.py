@@ -131,6 +131,19 @@ BAD_CALLS = {
     "LobParams-order_size-None": lambda: LobParams(order_size=None).validate(),
     "BookState-slot_size-None": lambda: BookState(slot_size=None).validate(),
     "BookState-half_width-2.5": lambda: BookState(half_width=2.5).validate(),
+    # k^2 delta^(2H-2) past the float range; a raw OverflowError before
+    "ModelParams-logvol-variance":
+        lambda: ModelParams(delta=1e-310, hurst=0.001).validate(),
+    "ReturnDistParams-logvol-variance":
+        lambda: ReturnDistParams(delta=1e-310, hurst=0.001).validate(),
+    "simulate_path-logvol-variance":
+        lambda: simulate_path(ModelParams(delta=1e-310, hurst=0.001), 10, 1e-310),
+    "from_model-logvol-variance":
+        lambda: VolDispersion.from_model(ModelParams(delta=1e-310, hurst=0.001)),
+    "mean_variance_fit-logvol-variance":
+        lambda: mean_variance_fit(ModelParams(delta=1e-200, hurst=0.001), 1e-200),
+    "pdf-logvol-variance": lambda: pdf(0.0, ReturnDistParams(delta=1e-310, hurst=0.001)),
+    "ModelParams-k-squared-overflow": lambda: ModelParams(k=1e200).validate(),
 }
 
 
@@ -149,6 +162,15 @@ def test_numpy_integer_counts_accepted():
     assert strategy_decode(n(72)) == strategy_decode(72)
     assert price(OPT, VolDispersion(0.3), nodes=n(64)) == price(OPT, VolDispersion(0.3),
                                                                 nodes=64)
+
+
+def test_finite_logvol_scale_still_accepted():
+    # k = 0 ignores the scale, and a tiny k keeps k delta^(H-1) finite
+    for params in (ModelParams(k=0.0, delta=1e-310, hurst=0.001),
+                   ModelParams(k=1e-200, delta=1e-200, hurst=0.001)):
+        path = simulate_path(params, 10, params.delta, seed=1)
+        assert np.all(np.isfinite(path.prices))
+    ReturnDistParams(k=0.0, delta=1e-310, hurst=0.001).validate()
 
 
 def test_grid_ratio_overflow_is_a_grid_mismatch():

@@ -1,8 +1,11 @@
 """Price-path generator contracts: shapes, determinism, grid rules."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from fracvol.errors import GridMismatchError, ParameterError
+from fracvol.errors import GenerationError, GridMismatchError, ParameterError
 from fracvol.estimation import leverage
 from fracvol.rng import substream
 from fracvol.simulate import (_ENS_VOL, IDENTIFIED_DRIVERS, MarketPath,
@@ -165,3 +168,32 @@ def test_market_path_validation():
     with pytest.raises(ParameterError):
         MarketPath(times=np.arange(3.0), prices=np.ones(3),
                    logvol=np.zeros(2), seed=0).validate()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            MarketPath(times=np.arange(2.0), prices=np.array([1.0, bad]),
+                       logvol=np.zeros(2), seed=0).validate()
+
+
+@pytest.mark.parametrize("dt", [1e-12, 1e-300])
+def test_hold_longer_than_the_path(dt):
+    # one log-vol value covers the whole path however many dt steps it spans
+    path = simulate_path(ModelParams(), 10, dt)
+    assert path.prices.shape == (11,) and np.all(np.isfinite(path.prices))
+    assert np.all(path.logvol == path.logvol[0])
+
+
+@pytest.mark.parametrize("generate, where", [
+    (lambda: simulate_path(ModelParams(beta=700.0), 5, 1.0, seed=3),
+     r"price 0\.0 on path 0 at step 1 \(seed 3\)"),
+    (lambda: path_ensemble(ModelParams(beta=700.0), 5, 1.0, seed=4, n_paths=3),
+     r"on path 0 at step 1 \(seed 4\)"),
+    (lambda: path_ensemble(ModelParams(mu=1e300), 5, 1.0, n_paths=2),
+     r"price inf on path 0 at step 1 \(seed 0\)"),
+    (lambda: simulate_identified(ModelParams(beta=700.0), 5, 1.0, history=8, seed=2),
+     r"on path 0 at step 1 \(seed 2\)"),
+], ids=["simulate_path", "path_ensemble", "path_ensemble-mu", "simulate_identified"])
+def test_price_past_float_range_is_a_generation_error(generate, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(GenerationError, match=where):
+            generate()
