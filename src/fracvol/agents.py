@@ -32,6 +32,7 @@ LOGISTIC_F = "logistic"
 _ABM_STREAM = 4  # substream id; keeps runs independent of the model simulators
 
 _CODE_WEIGHTS = np.array([27, 9, 3, 1])
+_BLOCK = 4096  # most steps per kernel call, so a run's draws stay O(block)
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,16 @@ def info_vector(misprice: float, trend: float, f_choice: str = STEP_F,
                      (1.0 - fm) * (1.0 - ft)])
 
 
+def _impact(omega: float, lambda0: float, lambda1: float, a: float) -> float:
+    if omega == 0.0:
+        return 0.0
+    return omega / (lambda0 + lambda1 * abs(omega) ** a)
+
+
 def market_impact(omega: float, impact: ImpactParams) -> float:
     """Log-price move caused by net order flow omega."""
     impact.validate()
-    if omega == 0.0:
-        return 0.0
-    return omega / (impact.lambda0
-                    + impact.lambda1 * abs(omega) ** impact.alpha_exponent)
+    return _impact(omega, impact.lambda0, impact.lambda1, impact.alpha_exponent)
 
 
 class Population:
@@ -220,30 +224,58 @@ class Population:
         return self.cash + price * self.stock - self.wealth0
 
 
+def _advance(env: MarketEnv, agents: Population, rng: np.random.Generator,
+             unit_investment: float, m: int) -> list[float]:
+    """Run up to m ticks of `step`; return their log prices, fewer only when
+    the next price left the float range (env.z then holds its log, and none
+    of its trades settled). One normal block replays the two scalar draws
+    per tick; under the step rule every tick orders one of the rows
+    u * S[:, k], whose totals and impacts are computed once."""
+    draws = rng.standard_normal(2 * m)
+    noise = (0.0 + env.noise_sigma * draws[0::2]).tolist()  # = normal(0, sigma)
+    walk = (0.0 + env.value_walk_sigma * draws[1::2]).tolist()
+    lam = (env.impact.lambda0, env.impact.lambda1, env.impact.alpha_exponent)
+    s, cash, stock, buf = agents.strategies, agents.cash, agents.stock, np.empty(len(agents))
+    rows = unit_investment * np.ascontiguousarray(s.T, dtype=float)
+    moves = [_impact(float(row.sum()), *lam) for row in rows]
+    one_hot = env.f_choice == STEP_F
+    z, z_prev, xi, zs = env.z, env.z_prev, env.xi, []
+    for eta, dxi in zip(noise, walk):
+        if one_hot:
+            k = (0 if xi - z >= 0.0 else 2) + (0 if z - z_prev >= 0.0 else 1)
+            orders, move = rows[k], moves[k]
+        else:
+            orders = unit_investment * (s @ info_vector(xi - z, z - z_prev, env.f_choice,
+                                                        env.beta_f))
+            move = _impact(float(orders.sum()), *lam)
+        z_prev, z = z, z + move + eta
+        xi += dxi
+        try:
+            price = math.exp(z)
+        except OverflowError:
+            break
+        if price == 0.0:
+            break
+        cash -= orders
+        stock += np.divide(orders, price, out=buf)
+        zs.append(z)
+    env.z, env.z_prev, env.xi = z, z_prev, xi
+    return zs
+
+
 def step(env: MarketEnv, agents: Population, rng: np.random.Generator,
          unit_investment: float = 1.0) -> tuple[MarketEnv, Population]:
-    """Advance the market one tick, mutating env and agents in place.
+    """Advance the market one tick in place: the run kernel over one tick.
 
-    Orders are cash amounts unit_investment * (strategy . info_vector); the
-    net flow moves the log price through market_impact plus a noise term,
-    the perceived value takes its walk step (noise first, walk second), and
-    every trade settles at the post-impact price: cash falls by the order,
-    stock rises by order/price. A price e^z past the float range, above or
-    below, raises OverflowError before any trade settles.
+    Orders are cash amounts unit_investment * (strategy . info_vector); their
+    net flow moves the log price through market_impact plus noise, then the
+    perceived value walks, and trades settle at the new price (cash falls by
+    the order, stock rises by order/price). A price past the float range
+    raises OverflowError before any trade settles.
     """
-    gamma = info_vector(env.xi - env.z, env.z - env.z_prev, env.f_choice,
-                        env.beta_f)
-    orders = unit_investment * (agents.strategies @ gamma)
-    total = float(orders.sum())
-    eta = rng.normal(0.0, env.noise_sigma)
-    env.z_prev = env.z
-    env.z = env.z + market_impact(total, env.impact) + eta
-    env.xi += rng.normal(0.0, env.value_walk_sigma)
-    price = math.exp(env.z)
-    if price == 0.0:
-        raise OverflowError(f"log price {env.z!r} is below the float range")
-    agents.cash -= orders
-    agents.stock += orders / price
+    env.validate()
+    if not _advance(env, agents, rng, unit_investment, 1):
+        raise OverflowError(f"log price {env.z!r} is past the float range")
     return env, agents
 
 
@@ -331,18 +363,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     env.validate()
     agents = Population.from_counts(config.population, price0=config.price0,
                                     cash0=config.cash0, stock0=config.stock0)
+    evo = config.evolution
     z = np.empty(config.n_steps + 1)
     z[0] = z0
-    for j in range(1, config.n_steps + 1):
-        try:
-            step(env, agents, rng, config.unit_investment)
-        except OverflowError:  # the price exp(env.z) in step
+    j = 0  # ticks done; each kernel call runs to the next evolution or block end
+    while j < config.n_steps:
+        m = min(config.n_steps - j, _BLOCK, evo.period - j % evo.period if evo else _BLOCK)
+        zs = _advance(env, agents, rng, config.unit_investment, m)
+        z[j + 1:j + 1 + len(zs)] = zs
+        j += len(zs)
+        if len(zs) < m:
             raise GenerationError(
-                f"log price {env.z!r} at step {j} (seed {config.seed}) is past the "
-                "float range; lower unit_investment for this configuration") from None
-        z[j] = env.z
-        if config.evolution is not None and j % config.evolution.period == 0:
-            evolve(agents, config.evolution, rng, math.exp(env.z))
+                f"log price {env.z!r} at step {j + 1} (seed {config.seed}) is past the "
+                "float range; lower unit_investment for this configuration")
+        if evo is not None and j % evo.period == 0:
+            evolve(agents, evo, rng, math.exp(env.z))
     prices = np.exp(z)
     report = estimate_report(prices, window=config.window,
                              scaling_lags=config.scaling_lags)

@@ -38,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -318,12 +319,23 @@ def _add_model_flags(parser) -> None:
                         help="volatility observation spacing")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-1e-3', '-.5', '-inf' or '-nan' after a flag as its value (no
+    fracvol option looks like a number); argparse's own pattern takes only
+    '-12' and '-1.5'."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracvol",
         description="Simulation and analytics for a long-memory "
                     "stochastic-volatility market model.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command",
+                                parser_class=_Parser)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("simulate", formatter_class=fmt,

@@ -52,8 +52,8 @@ class IngestionError(FracvolError):
 
 
 def _real_check(wording: str, compare, bound: float):
-    """The check that each keyword's value is finite and compare(value, bound);
-    built once per rule, since the ABM step runs one per tick."""
+    """The check that each keyword's value is finite and compare(value, bound),
+    built once per rule."""
     def check(**named) -> None:
         for name, value in named.items():
             try:

@@ -20,6 +20,7 @@ horizon-adjusted fit used when comparing against Monte Carlo.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,10 +161,20 @@ def _m_rows(alpha: float, a: np.ndarray, b: np.ndarray, nodes: int) -> np.ndarra
         ustar = np.array([0.5 * math.log(-q / p) if p * q < 0 and q / p else math.nan
                           for p, q in zip(a[rows].tolist(), b[rows].tolist())])[:, None]
         split = ((-half < ustar) & (ustar < half)).ravel()
-        if split.any():
-            res[split] = _m_split(alpha, ab[split], bb[split], ustar[split], half, x, w)
-        if not split.all():
-            res[~split] = _m_plain(alpha, ab[~split], bb[~split], -half, half, x, w)
+        # e^u, e^-2u and sinh(v) pass the float range at the window edges once
+        # 16 alpha > log(max float), where their terms vanish; h(u) past it
+        # leaves a row non-finite, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            if split.any():
+                res[split] = _m_split(alpha, ab[split], bb[split], ustar[split], half, x, w)
+            if not split.all():
+                res[~split] = _m_plain(alpha, ab[~split], bb[~split], -half, half, x, w)
+    if not np.isfinite(out).all():
+        limit = (math.log(sys.float_info.max) + 0.5 * _SPREAD_SDS**2) / _SPREAD_SDS
+        raise ParameterError(
+            f"alpha={alpha!r} puts the M-kernel past the float range: its weight "
+            f"e^(u - u^2/(2 alpha^2)) / (alpha sqrt(2 pi)) on |u| <= {_SPREAD_SDS:g} alpha "
+            f"needs a normal float alpha below {limit:.6g}")
     return out
 
 

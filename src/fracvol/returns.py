@@ -84,6 +84,15 @@ def _conditional_moments(params: ReturnDistParams, sigma):
     return mean, sd
 
 
+def _density_moments(params: ReturnDistParams, sigma):
+    """_conditional_moments for pdf and cdf, which divide by the sd."""
+    mean, sd = _conditional_moments(params, sigma)
+    if not np.min(sd) > 0.0:  # e^u sqrt(lag) underflows at some log-vol node u
+        raise ParameterError(f"beta={params.beta!r} puts the return sd e^u sqrt(lag) "
+                             "below the float range; raise beta")
+    return mean, sd
+
+
 def pdf(r, params: ReturnDistParams, nodes: int = 256,
         halfwidth_sds: float = 12.0):
     """Density of the return over params.lag; r may be an array.
@@ -96,11 +105,11 @@ def pdf(r, params: ReturnDistParams, nodes: int = 256,
     params.validate()
     r_arr = np.asarray(r, dtype=float)
     if params.k == 0.0:
-        mean, sd = _conditional_moments(params, params.theta)
+        mean, sd = _density_moments(params, params.theta)
         out = _gaussian_pdf(r_arr, mean, sd)
         return out if out.ndim else float(out)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
-    mean, sd = _conditional_moments(params, sigma)
+    mean, sd = _density_moments(params, sigma)
     out = _gaussian_pdf(r_arr[..., None], mean, sd) @ weights
     return out if out.ndim else float(out)
 
@@ -111,11 +120,11 @@ def cdf(r, params: ReturnDistParams, nodes: int = 256,
     params.validate()
     r_arr = np.asarray(r, dtype=float)
     if params.k == 0.0:
-        mean, sd = _conditional_moments(params, params.theta)
+        mean, sd = _density_moments(params, params.theta)
         out = ndtr((r_arr - mean) / sd)
         return out if out.ndim else float(out)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
-    mean, sd = _conditional_moments(params, sigma)
+    mean, sd = _density_moments(params, sigma)
     out = ndtr((r_arr[..., None] - mean) / sd) @ weights
     # weights integrate the truncated Gaussian; renormalize so cdf(+inf) -> 1
     out = out / weights.sum()

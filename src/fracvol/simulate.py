@@ -19,6 +19,7 @@ drivers, no leverage).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,14 @@ def _check_path_args(params: ModelParams, n_steps: int, dt: float, s0: float,
     positive(dt=dt, s0=s0)
 
 
+def _time_grid(n_steps: int, dt: float) -> np.ndarray:
+    """Time stamps i dt; the last, n_steps dt, must be a finite float."""
+    if not math.isfinite(float(n_steps) * float(dt)):
+        raise ParameterError(f"dt={dt!r}: the last time stamp n_steps * dt "
+                             f"({n_steps} steps) is past the float range")
+    return np.arange(n_steps + 1) * dt
+
+
 def simulate_path(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
                   seed: int = 0) -> MarketPath:
     """Simulate one path of the fGn-form model: row 0 of path_ensemble.
@@ -164,10 +173,11 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
             "identified drivers require the moving-average form; "
             "use simulate_identified or identified_return_ensemble"
         )
+    times = _time_grid(n_steps, dt)
     logvol = _logvol_grid(params, n_steps + 1, dt, substream(seed, _VOL), n_paths)
     eps = np.sqrt(dt) * substream(seed, _PRICE).standard_normal((n_paths, n_steps))
     prices = _advance_prices(logvol, eps, params.mu, dt, s0, seed)
-    return np.arange(n_steps + 1) * dt, prices, logvol
+    return times, prices, logvol
 
 
 def _kernel(history: int, dt: float, hurst: float) -> np.ndarray:
@@ -228,12 +238,12 @@ def simulate_identified(params: ModelParams, n_steps: int, dt: float,
     truncation.
     """
     _check_path_args(params, n_steps, dt, s0, history=history)
+    times = _time_grid(n_steps, dt)
     rng_price = substream(seed, _PRICE) if params.coupling == INDEPENDENT_DRIVERS else None
     logvol, eps = _identified_logvol_eps(
         params, n_steps, dt, history, substream(seed, _VOL), rng_price, 1
     )
     prices = _advance_prices(logvol[0], eps[0], params.mu, dt, s0, seed)
-    times = np.arange(n_steps + 1) * dt
     return MarketPath(times=times, prices=prices, logvol=logvol[0], seed=int(seed))
 
 

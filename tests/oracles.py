@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written from the documented transition rules in the
-plainest possible style, deliberately sharing no code with the package.
+plainest possible style, deliberately sharing no transition code with the
+package: the agent-market reference borrows only its state containers,
+`evolve` and the seeded substream.
 """
 from __future__ import annotations
 
@@ -12,8 +14,10 @@ import numpy as np
 from scipy import stats
 from scipy.special import erf, erfc, ndtr
 
+from fracvol.agents import MarketEnv, Population, evolve
 from fracvol.errors import NoSolutionError
 from fracvol.lob import LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL, BookState
+from fracvol.rng import substream
 
 
 def excess_kurtosis(x) -> float:
@@ -240,3 +244,61 @@ def ref_smile(moneyness, taus, sigma_t, alpha, spot=1.0, rate=0.001, nodes=512):
             out[i, j] = (value, ref_implied_vol(value, spot, strike, rate, tau),
                          value - ref_black_scholes(spot, strike, rate, sigma_t, tau))
     return out[..., 0], out[..., 1], out[..., 2]
+
+
+# ------------------------------------------------------------------ agents
+# The agent market one tick at a time: a dense four-weight signal vector,
+# an int8 x float order matmul and two scalar normal draws per step. The
+# reference the epoch kernel behind fracvol.agents.run_experiment must
+# match to the bit.
+
+def _ref_signal(x, f_choice, beta_f):
+    if f_choice == "step":
+        return 1.0 if x >= 0.0 else 0.0
+    try:
+        return 1.0 / (1.0 + math.exp(-beta_f * x))
+    except OverflowError:
+        return 0.0
+
+
+def ref_abm_step(env, agents, rng, unit_investment):
+    """One tick: orders from the signals, impact plus noise on the log
+    price, the value walk, then settlement at the new price."""
+    fm = _ref_signal(env.xi - env.z, env.f_choice, env.beta_f)
+    ft = _ref_signal(env.z - env.z_prev, env.f_choice, env.beta_f)
+    gamma = np.array([fm * ft, fm * (1.0 - ft), (1.0 - fm) * ft,
+                      (1.0 - fm) * (1.0 - ft)])
+    orders = unit_investment * (agents.strategies @ gamma)
+    total = float(orders.sum())
+    eta = rng.normal(0.0, env.noise_sigma)
+    imp = env.impact
+    move = 0.0
+    if total != 0.0:
+        move = total / (imp.lambda0 + imp.lambda1 * abs(total) ** imp.alpha_exponent)
+    env.z_prev = env.z
+    env.z = env.z + move + eta
+    env.xi += rng.normal(0.0, env.value_walk_sigma)
+    price = math.exp(env.z)
+    agents.cash -= orders
+    agents.stock += orders / price
+
+
+def ref_run_abm(config):
+    """(prices, final_codes, payoffs) of an ExperimentConfig, one
+    ref_abm_step per tick and evolve after every period-th tick."""
+    rng = substream(config.seed, 4)
+    z0 = math.log(config.price0)
+    env = MarketEnv(z=z0, z_prev=z0, xi=z0, impact=config.impact,
+                    noise_sigma=config.noise_sigma,
+                    value_walk_sigma=config.value_walk_sigma,
+                    f_choice=config.f_choice, beta_f=config.beta_f)
+    agents = Population.from_counts(config.population, price0=config.price0,
+                                    cash0=config.cash0, stock0=config.stock0)
+    z = [z0]
+    for j in range(1, config.n_steps + 1):
+        ref_abm_step(env, agents, rng, config.unit_investment)
+        z.append(env.z)
+        if config.evolution is not None and j % config.evolution.period == 0:
+            evolve(agents, config.evolution, rng, math.exp(env.z))
+    prices = np.exp(np.array(z))
+    return prices, agents.strategy_codes(), agents.payoffs(float(prices[-1]))

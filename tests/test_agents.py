@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ref_run_abm
 
 from fracvol.agents import (FUNDAMENTAL, FUNDAMENTAL_CODE, TREND_FOLLOWING,
                             TREND_FOLLOWING_CODE, EvolutionParams,
@@ -218,6 +219,36 @@ def test_logistic_weight_is_scipy_expit_bit_for_bit():
         ours = np.array([_signal_weight(float(x), "logistic", beta_f) for x in xs])
         ref = np.array([float(expit(beta_f * float(x))) for x in xs])
         np.testing.assert_array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+_README_EVOLUTION = EvolutionParams(period=50, mutation_prob=0.1)
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(),
+    ExperimentConfig(population=((72, 1000), (60, 1000)), n_steps=3000, seed=2,
+                     evolution=_README_EVOLUTION),
+    ExperimentConfig(n_steps=3000, seed=3, f_choice="logistic", beta_f=40.0,
+                     evolution=_README_EVOLUTION),
+    ExperimentConfig(n_steps=3000, seed=4, unit_investment=0.1,
+                     evolution=_README_EVOLUTION),
+    ExperimentConfig(population=((72, 20), (60, 15), (45, 12)), n_steps=3000,
+                     seed=5, unit_investment=0.37, price0=2.5, cash0=3.0,
+                     stock0=0.5, evolution=EvolutionParams(
+                         period=37, copiers=5, mutation_prob=0.3,
+                         random_selection=True)),
+    ExperimentConfig(population=((72, 30), (18, 10)), n_steps=2 * 4096 + 3,
+                     seed=6, unit_investment=0.37),
+], ids=["default", "readme-2000", "logistic-evolving", "u-0.1",
+        "three-strategies-random-selection", "no-evolution-three-blocks"])
+def test_run_experiment_equals_reference_step_loop(config):
+    prices, codes, payoffs = ref_run_abm(config)
+    res = run_experiment(config)
+    np.testing.assert_array_equal(res.path.prices.view(np.uint64),
+                                  prices.view(np.uint64))
+    np.testing.assert_array_equal(res.final_codes, codes)
+    np.testing.assert_array_equal(res.payoffs.view(np.uint64),
+                                  payoffs.view(np.uint64))
 
 
 # sha256 of prices then final_codes (little-endian int64) of the run below,

@@ -424,6 +424,49 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
 
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["pdf", "--beta=-800"], "beta=-800.0"),
+    (["price", "--alpha-disp", "1e3"], "alpha=1000.0"),
+    (["simulate", "--steps", "2000", "--k", "0", "--beta=-400", "--delta", "1e308"],
+     "dt=1e+308"),
+], ids=["pdf-return-sd-underflow", "price-kernel-weight-overflow",
+        "simulate-time-stamps-overflow"])
+def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,
+                                                            name):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ParameterError" and name in doc["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    (["simulate", "--steps", "64", "--beta"], "-1e-3"),
+    (["simulate", "--steps", "64", "--mu"], "-.5"),
+    (["pdf", "--beta"], "-4.5E+0"),
+    (["price", "--rate"], "-1e-3"),
+    (["smile", "--rate"], "-1e-4"),
+])
+def test_negative_value_in_the_spaced_form(tmp_path, capsys, flag, value):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(flag + [value, "--out", str(spaced)]) == 0
+    flag = flag[:-1] + [f"{flag[-1]}={value}"]
+    assert main(flag + ["--out", str(joined)]) == 0
+    capsys.readouterr()
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+def test_spaced_non_finite_value_is_a_parameter_error(tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--beta", value, "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ParameterError" and "beta" in doc["message"]
+    assert not out.exists()
+
+
 # SHA-256 of every artifact a small run of each command writes, csv and json;
 # abm in csv also writes out.report.json, and lob writes the --book-trace log
 _GOLDEN_RUNS = {

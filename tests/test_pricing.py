@@ -304,3 +304,19 @@ def test_no_solution_error_names_the_point():
     with pytest.raises(NoSolutionError) as err:
         implied_vol(np.float64(0.0), opt)
     assert str(err.value) == "target price 0.0 outside the no-arbitrage band (0.0, 1.0)"
+
+
+def test_dispersion_past_float_range_names_alpha():
+    # the kernel weight e^(u - u^2/(2 alpha^2)) at u = 8 alpha is e^(8 alpha - 32)
+    with pytest.raises(ParameterError, match=r"alpha=1000\.0 .*below 92\.72"):
+        price(ATM, VolDispersion(1e3))
+    with pytest.raises(ParameterError, match=r"alpha=5e-324 "):
+        m_function(5e-324, 1.0, 1.0)
+
+
+def test_wide_dispersion_below_the_limit_is_unchanged():
+    # e^u and e^-2u overflow harmlessly at these window edges; the values
+    # are the ones computed before those overflows were silenced
+    assert repr(price(ATM, VolDispersion(50.0))) == "0.48518188795268846"
+    assert repr(price(ATM, VolDispersion(92.0))) == "0.49576456313136685"
+    assert repr(m_function(1000.0, 1.0, 1.0)) == "0.49999999999999806"

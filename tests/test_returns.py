@@ -102,3 +102,13 @@ def test_parameter_errors():
         tail_asymptotic(central_return(p) + 1e-6, p)
     with pytest.raises(ParameterError):
         tail_asymptotic(1.0, ReturnDistParams(k=0.0))
+
+
+@pytest.mark.parametrize("k", [0.59, 0.0])
+def test_return_sd_below_float_range_names_beta(k):
+    # e^beta underflows, so the conditional return sd is 0 and the density
+    # would divide by it
+    p = ReturnDistParams(beta=-800.0, k=k)
+    for f in (pdf, cdf):
+        with pytest.raises(ParameterError, match=r"beta=-800\.0"):
+            f(np.array([0.0, 1e-300]), p)

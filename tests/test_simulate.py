@@ -197,3 +197,14 @@ def test_price_past_float_range_is_a_generation_error(generate, where):
         warnings.simplefilter("error")  # no overflow warning on the way
         with pytest.raises(GenerationError, match=where):
             generate()
+
+
+def test_time_stamps_past_float_range_name_dt():
+    params = ModelParams(k=0.0, beta=-400.0)
+    for run in (lambda: simulate_path(params, 2000, 1e308),
+                lambda: path_ensemble(params, 2000, 1e308, n_paths=2),
+                lambda: simulate_identified(params, 2000, 1e308, history=8)):
+        with pytest.raises(ParameterError, match=r"dt=1e\+308: the last time stamp"):
+            run()
+    # the largest grid that still fits keeps its last stamp
+    assert simulate_path(params, 1, 1e308).times[-1] == 1e308
