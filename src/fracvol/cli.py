@@ -8,33 +8,27 @@ one JSON line on stderr), 2 usage error. Artifacts are byte-identical
 across runs with the same arguments. Each handler imports its own module:
 only pdf, price and smile load scipy; the other commands need numpy only.
 
-The abm command reads an optional key = value config file:
+The abm command reads an optional key = value config file. Its keys are the
+fields of agents.ExperimentConfig, with steps for n_steps, and impact.* /
+evolution.* for the fields of ImpactParams / EvolutionParams:
 
-    population = 72:50, 60:50      strategy code : agent count pairs
-    steps = 10000                  overridden by --steps
-    seed = 0                       overridden by --seed
-    unit_investment = 1.0
-    noise_sigma = 0.02
-    value_walk_sigma = 0.01
-    f_choice = step                or logistic
-    beta_f = 25.0
-    impact.lambda0 = 9000.0
-    impact.lambda1 = 100.0
-    impact.alpha_exponent = 0.5
-    evolution.period = 50          evolution.* enables the tournament
-    evolution.copiers = 10
-    evolution.mutation_prob = 0.1
-    evolution.random_selection = false
-    price0 = 1.0
-    cash0 = 0.0
-    stock0 = 0.0
-    window = 21
+    population  steps  seed  unit_investment  noise_sigma  value_walk_sigma
+    f_choice  beta_f  price0  cash0  stock0  window
+    impact.lambda0  impact.lambda1  impact.alpha_exponent
+    evolution.period  evolution.copiers  evolution.mutation_prob
+    evolution.random_selection
 
-Blank lines and lines starting with # are ignored; unknown keys are errors.
+A value is read as the type of the field's default (a boolean as true/false,
+yes/no or 1/0), and population as strategy code : agent count pairs such as
+"72:30, 60:30". Any evolution.* key enables the tournament; --steps and
+--seed override the file. Blank lines and lines starting with # are ignored;
+unknown keys are errors. Likewise a flag that sets a parameter dataclass
+field (--hurst, --tau, --width, ...) takes its default from that field.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -50,9 +44,16 @@ from .io import (atomic_write, csv_text, ensemble_csv, ingest_prices, json_text,
                  key_value_csv, market_path_csv, report_to_dict)
 
 FORMATS = ("csv", "json")
+_OWNED = argparse.SUPPRESS  # no default here: the parameter dataclass owns it
 
 _PDF_POINTS = 513
 _PDF_SPAN_SDS = 8.0
+
+
+def _given(args: argparse.Namespace, cls) -> dict:
+    """The given flags that name a field of the dataclass cls."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if hasattr(args, f.name)}
 
 
 def _path_payload(path) -> dict:
@@ -62,10 +63,8 @@ def _path_payload(path) -> dict:
 
 def _run_simulate(args: argparse.Namespace) -> None:
     from . import simulate
-    params = simulate.ModelParams(mu=args.mu, beta=args.beta, k=args.k,
-                                  delta=args.delta, hurst=args.hurst)
-    # price grid at the volatility observation spacing
-    dt = args.delta
+    params = simulate.ModelParams(**_given(args, simulate.ModelParams))
+    dt = params.delta  # price grid at the volatility observation spacing
     if args.paths == 1:
         path = simulate.simulate_path(params, args.steps, dt, seed=args.seed)
         text = (market_path_csv(path) if args.format == "csv"
@@ -99,8 +98,7 @@ def _run_estimate(args: argparse.Namespace) -> None:
 
 def _run_pdf(args: argparse.Namespace) -> None:
     from . import returns
-    params = returns.ReturnDistParams(beta=args.beta, k=args.k, delta=args.delta,
-                                      hurst=args.hurst, mu=args.mu, lag=args.tau)
+    params = returns.ReturnDistParams(**_given(args, returns.ReturnDistParams))
     params.validate()
     center = returns.central_return(params)
     try:  # sd of the lognormal-mixture return at this horizon
@@ -141,8 +139,7 @@ def _run_price(args: argparse.Namespace) -> None:
 
 def _run_smile(args: argparse.Namespace) -> None:
     from . import pricing, simulate
-    model = simulate.ModelParams(mu=0.0, beta=args.beta, k=args.k,
-                                 delta=args.delta, hurst=args.hurst)
+    model = simulate.ModelParams(**_given(args, simulate.ModelParams))
     surf = pricing.smile_surface(model, sigma_t=args.sigma, spot=args.spot,
                                  rate=args.rate, alpha=args.alpha_disp)
     if args.format == "csv":
@@ -175,90 +172,58 @@ def _parse_kv_file(file_path: str) -> dict:
     return pairs
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ParameterError(f"{key} must be a boolean, got {value!r}")
-
-
-def _parse_number(kind, key: str, value: str):
-    """kind(value) for kind int or float; a malformed value names its key."""
+def _config_value(key: str, default, text: str):
+    """text read as the type of the field default it replaces, population as
+    code:count pairs; a malformed value is a ParameterError naming key."""
+    kind = type(default)
+    if kind is tuple:  # population
+        mix = []
+        for part in text.split(","):
+            code, sep, count = part.strip().partition(":")
+            if not sep:
+                raise ParameterError(
+                    f"population entries are code:count, got {part.strip()!r}")
+            mix.append((_config_value(key, 0, code), _config_value(key, 0, count)))
+        return tuple(mix)
+    if kind is bool:
+        if text.lower() in ("true", "1", "yes", "false", "0", "no"):
+            return text.lower() in ("true", "1", "yes")
+        raise ParameterError(f"{key} must be a boolean, got {text!r}")
+    if kind is str:
+        return text
     try:
-        return kind(value)
+        return kind(text)
     except ValueError:
         raise ParameterError(
             f"{key} must be {'an integer' if kind is int else 'a number'}, "
-            f"got {value!r}") from None
+            f"got {text!r}") from None
 
 
-def _parse_population(value: str) -> tuple:
-    mix = []
-    for part in value.split(","):
-        code, sep, count = part.strip().partition(":")
-        if not sep:
-            raise ParameterError(
-                f"population entries are code:count, got {part.strip()!r}")
-        mix.append((_parse_number(int, "population", code),
-                    _parse_number(int, "population", count)))
-    return tuple(mix)
-
-
-_ABM_FLOAT_KEYS = ("unit_investment", "noise_sigma", "value_walk_sigma",
-                   "beta_f", "price0", "cash0", "stock0")
-
-
-def _experiment_config(kv: dict, steps: int | None, seed: int | None):
-    """Merge a key-value config with CLI overrides into an ExperimentConfig."""
+def _experiment_config(kv: dict, given: dict):
+    """ExperimentConfig from config lines (see the module docs), then the
+    given flags."""
     from . import agents
-    fields = {}
-    impact = {}
-    evolution = {}
-    for key, value in kv.items():
-        if key == "population":
-            fields["population"] = _parse_population(value)
-        elif key == "steps":
-            fields["n_steps"] = _parse_number(int, key, value)
-        elif key == "seed":
-            fields["seed"] = _parse_number(int, key, value)
-        elif key == "window":
-            fields["window"] = _parse_number(int, key, value)
-        elif key == "f_choice":
-            fields["f_choice"] = value
-        elif key in _ABM_FLOAT_KEYS:
-            fields[key] = _parse_number(float, key, value)
-        elif key.startswith("impact."):
-            impact[key[len("impact."):]] = _parse_number(float, key, value)
-        elif key.startswith("evolution."):
-            sub = key[len("evolution."):]
-            if sub == "random_selection":
-                evolution[sub] = _parse_bool(value, key)
-            elif sub == "mutation_prob":
-                evolution[sub] = _parse_number(float, key, value)
-            else:
-                evolution[sub] = _parse_number(int, key, value)
-        else:
+    classes = {"": agents.ExperimentConfig, "impact": agents.ImpactParams,
+               "evolution": agents.EvolutionParams}
+    table = {f"{section}.{f.name}".lstrip("."): (section, f.name, f.default)
+             for section, cls in classes.items() for f in dataclasses.fields(cls)}
+    table["steps"] = table.pop("n_steps")
+    groups = {section: {} for section in classes}
+    for key, text in kv.items():
+        section, name, default = table.get(key, ("", "", None))
+        if type(default) not in (tuple, bool, int, float, str):  # None or a factory
             raise ParameterError(f"unknown config key {key!r}")
-    try:
-        if impact:
-            fields["impact"] = agents.ImpactParams(**impact)
-        if evolution:
-            fields["evolution"] = agents.EvolutionParams(**evolution)
-    except TypeError as err:
-        raise ParameterError(f"bad config sub-key: {err}")
-    if steps is not None:
-        fields["n_steps"] = steps
-    if seed is not None:
-        fields["seed"] = seed
-    return agents.ExperimentConfig(**fields)
+        groups[section][name] = _config_value(key, default, text)
+    fields = groups.pop("")
+    fields.update({section: classes[section](**values)
+                   for section, values in groups.items() if values})
+    return agents.ExperimentConfig(**{**fields, **given})
 
 
 def _run_abm(args: argparse.Namespace) -> None:
     from . import agents
     kv = _parse_kv_file(args.config) if args.config else {}
-    ecfg = _experiment_config(kv, args.steps, args.seed)
+    ecfg = _experiment_config(kv, _given(args, agents.ExperimentConfig))
     args.seed = ecfg.seed  # --seed, else the config file's, else 0
     result = agents.run_experiment(ecfg)
     report = report_to_dict(result.report)
@@ -275,8 +240,8 @@ def _run_abm(args: argparse.Namespace) -> None:
 
 def _run_lob(args: argparse.Namespace) -> None:
     from . import lob
-    params = lob.LobParams(half_width=args.width, order_size=args.order_size,
-                           steps=args.steps, seed=args.seed)
+    params = lob.LobParams(**_given(args, lob.LobParams))
+    args.seed = params.seed
     trace = [] if args.book_trace else None
     path = lob.run_lob(params, trace)
     text = (market_path_csv(path) if args.format == "csv"
@@ -308,15 +273,22 @@ def _add_common(parser, fmt_default: str, seed_default=0) -> None:
                         help="artifact format")
 
 
-def _add_model_flags(parser) -> None:
-    parser.add_argument("--hurst", type=float, default=0.83,
-                        help="memory exponent of the volatility driver")
-    parser.add_argument("--k", type=float, default=0.59,
-                        help="volatility coupling strength")
-    parser.add_argument("--beta", type=float, default=-5.0,
-                        help="mean log volatility")
-    parser.add_argument("--delta", type=float, default=1.0,
-                        help="volatility observation spacing")
+def _add_model_flags(parser, *extra: str) -> None:
+    helps = {"hurst": "memory exponent of the volatility driver",
+             "k": "volatility coupling strength", "beta": "mean log volatility",
+             "delta": "volatility observation spacing", "mu": "price drift"}
+    for name in ("hurst", "k", "beta", "delta", *extra):
+        parser.add_argument(f"--{name}", type=float, default=_OWNED, help=helps[name])
+
+
+def _add_option_flags(parser, alpha_default, alpha_help: str) -> None:
+    """The contract and dispersion flags of price and smile."""
+    parser.add_argument("--spot", type=float, default=1.0, help="spot price")
+    parser.add_argument("--rate", type=float, default=0.001, help="risk-free rate")
+    parser.add_argument("--sigma", type=float, default=0.01,
+                        help="current volatility")
+    parser.add_argument("--alpha-disp", type=float, default=alpha_default,
+                        help=f"log-volatility dispersion; {alpha_help}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", formatter_class=fmt,
                        help="simulate price paths; CSV t,price or wide ensemble")
     _add_common(p, "csv")
-    _add_model_flags(p)
-    p.add_argument("--mu", type=float, default=0.0, help="price drift")
+    _add_model_flags(p, "mu")
     p.add_argument("--steps", type=int, default=4096, help="steps per path")
     p.add_argument("--paths", type=int, default=1, help="number of paths")
 
@@ -354,53 +325,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pdf", formatter_class=fmt,
                        help="return density and cdf on a grid; CSV r,pdf,cdf")
     _add_common(p, "csv")
-    _add_model_flags(p)
-    p.add_argument("--mu", type=float, default=0.0, help="price drift")
-    p.add_argument("--tau", type=float, default=1.0, help="return horizon")
+    _add_model_flags(p, "mu")
+    p.add_argument("--tau", type=float, default=_OWNED, dest="lag", metavar="TAU",
+                   help="return horizon")
 
     p = sub.add_parser("price", formatter_class=fmt,
                        help="European call under dispersed volatility")
     _add_common(p, "json")
-    p.add_argument("--spot", type=float, default=1.0, help="spot price")
+    _add_option_flags(p, 0.0, "0 recovers Black-Scholes")
     p.add_argument("--strike", type=float, default=1.0, help="strike")
-    p.add_argument("--rate", type=float, default=0.001, help="risk-free rate")
-    p.add_argument("--sigma", type=float, default=0.01,
-                   help="current volatility")
     p.add_argument("--tau", type=float, default=20.0, help="time to maturity")
-    p.add_argument("--alpha-disp", type=float, default=0.0,
-                   help="log-volatility dispersion; 0 recovers Black-Scholes")
 
     p = sub.add_parser("smile", formatter_class=fmt,
                        help="implied-vol surface over moneyness and maturity")
     _add_common(p, "csv")
     _add_model_flags(p)
-    p.add_argument("--spot", type=float, default=1.0, help="spot price")
-    p.add_argument("--rate", type=float, default=0.001, help="risk-free rate")
-    p.add_argument("--sigma", type=float, default=0.01,
-                   help="current volatility")
-    p.add_argument("--alpha-disp", type=float, default=None,
-                   help="log-volatility dispersion; default derives it "
-                        "from the model flags")
+    _add_option_flags(p, None, "default derives it from the model flags")
 
     p = sub.add_parser("abm", formatter_class=fmt,
                        help="agent market run; price CSV plus estimation "
                             "report JSON (csv format writes the report to "
                             "<out-stem>.report.json)")
-    _add_common(p, "csv", seed_default=None)
-    p.add_argument("--steps", type=int, default=None,
-                   help="market steps; overrides the config file")
+    _add_common(p, "csv", seed_default=_OWNED)
+    p.add_argument("--steps", type=int, default=_OWNED, dest="n_steps",
+                   metavar="STEPS", help="market steps; overrides the config file")
     p.add_argument("--config", default=None,
                    help="key = value config file (see module docs)")
 
     p = sub.add_parser("lob", formatter_class=fmt,
                        help="limit-order-book market; price CSV")
-    _add_common(p, "csv")
-    p.add_argument("--width", type=int, default=10,
-                   help="book half-width in price slots")
-    p.add_argument("--order-size", type=float, default=2.0,
+    _add_common(p, "csv", seed_default=_OWNED)
+    p.add_argument("--width", type=int, default=_OWNED, dest="half_width",
+                   metavar="WIDTH", help="book half-width in price slots")
+    p.add_argument("--order-size", type=float, default=_OWNED,
                    help="limit order size")
-    p.add_argument("--steps", type=int, default=2 ** 17,
-                   help="recorded arrivals")
+    p.add_argument("--steps", type=int, default=_OWNED, help="recorded arrivals")
     p.add_argument("--book-trace", default=None, metavar="FILE",
                    help="also write a per-step event log "
                         "(step,event,slot,price)")

@@ -62,9 +62,16 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _standard(x, mean, sd):
+    with np.errstate(over="ignore"):  # |z| past the float range: pdf 0, cdf 0 or 1, exactly
+        return (x - mean) / sd
+
+
 def _gaussian_pdf(x, mean, sd):
-    z = (x - mean) / sd
-    return np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
+    z = _standard(x, mean, sd)
+    with np.errstate(over="ignore"):  # z*z past the float range: exp(-inf) is an exact 0
+        kernel = np.exp(-0.5 * z * z)
+    return kernel / (sd * _SQRT_2PI)
 
 
 def _mixture_nodes(params: ReturnDistParams, nodes: int, halfwidth_sds: float):
@@ -84,12 +91,20 @@ def _conditional_moments(params: ReturnDistParams, sigma):
     return mean, sd
 
 
-def _density_moments(params: ReturnDistParams, sigma):
-    """_conditional_moments for pdf and cdf, which divide by the sd."""
+def _density_moments(params: ReturnDistParams, sigma, peak: bool = False):
+    """_conditional_moments for pdf and cdf, which divide by the sd; with
+    peak (pdf), the density's peak 1/(sd sqrt(2 pi)) must be a float too."""
     mean, sd = _conditional_moments(params, sigma)
-    if not np.min(sd) > 0.0:  # e^u sqrt(lag) underflows at some log-vol node u
+    low = np.min(sd)
+    if not low > 0.0:  # e^u sqrt(lag) underflows at some log-vol node u
         raise ParameterError(f"beta={params.beta!r} puts the return sd e^u sqrt(lag) "
                              "below the float range; raise beta")
+    if peak:
+        with np.errstate(over="ignore"):  # the overflow is what is checked
+            top = 1.0 / (low * _SQRT_2PI)
+        if not np.isfinite(top):
+            raise ParameterError(f"beta={params.beta!r} puts the peak return density "
+                                 "1/(sd sqrt(2 pi)) past the float range; raise beta")
     return mean, sd
 
 
@@ -105,11 +120,11 @@ def pdf(r, params: ReturnDistParams, nodes: int = 256,
     params.validate()
     r_arr = np.asarray(r, dtype=float)
     if params.k == 0.0:
-        mean, sd = _density_moments(params, params.theta)
+        mean, sd = _density_moments(params, params.theta, peak=True)
         out = _gaussian_pdf(r_arr, mean, sd)
         return out if out.ndim else float(out)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
-    mean, sd = _density_moments(params, sigma)
+    mean, sd = _density_moments(params, sigma, peak=True)
     out = _gaussian_pdf(r_arr[..., None], mean, sd) @ weights
     return out if out.ndim else float(out)
 
@@ -121,11 +136,11 @@ def cdf(r, params: ReturnDistParams, nodes: int = 256,
     r_arr = np.asarray(r, dtype=float)
     if params.k == 0.0:
         mean, sd = _density_moments(params, params.theta)
-        out = ndtr((r_arr - mean) / sd)
+        out = ndtr(_standard(r_arr, mean, sd))
         return out if out.ndim else float(out)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
     mean, sd = _density_moments(params, sigma)
-    out = ndtr((r_arr[..., None] - mean) / sd) @ weights
+    out = ndtr(_standard(r_arr[..., None], mean, sd)) @ weights
     # weights integrate the truncated Gaussian; renormalize so cdf(+inf) -> 1
     out = out / weights.sum()
     return out if out.ndim else float(out)

@@ -1,8 +1,10 @@
 """Command-line artifacts: formats, exit codes, ingestion, atomicity."""
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import fracvol
+from fracvol.agents import EvolutionParams, ExperimentConfig, ImpactParams
 from fracvol.cli import main
 from fracvol.errors import IngestionError
 from fracvol.io import (PRICE_HEADER, atomic_write, ingest_prices, json_text,
@@ -250,12 +253,67 @@ def test_abm_seed_from_config(tmp_path, capsys):
 def test_abm_config_errors(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for body in ("myst = 1\n", "evolution.random_selection = maybe\n",
-                 "population = 72\n", "just a line\n"):
+                 "population = 72\n", "just a line\n", "impact.foo = 1\n",
+                 "evolution.bar = 2\n", "n_steps = 5\n", "scaling_lags = 2\n",
+                 "impact = 1\n", "evolution = 1\n"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(body)
         assert main(["abm", "--config", str(cfg), "--steps", "600",
                      "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+
+# every accepted abm config key, each set to its dataclass default
+_DEFAULT_CONFIG = """\
+population = 72:50, 60:50
+steps = 10000
+seed = 0
+unit_investment = 1.0
+noise_sigma = 0.02
+value_walk_sigma = 0.01
+f_choice = step
+beta_f = 25.0
+price0 = 1.0
+cash0 = 0.0
+stock0 = 0.0
+window = 21
+impact.lambda0 = 9000.0
+impact.lambda1 = 100.0
+impact.alpha_exponent = 0.5
+"""
+_DEFAULT_EVOLUTION = """\
+evolution.period = 50
+evolution.copiers = 10
+evolution.mutation_prob = 0.1
+evolution.random_selection = false
+"""
+
+
+def test_abm_config_of_defaults_changes_no_byte(tmp_path, capsys):
+    keys = {line.partition(" =")[0]
+            for line in (_DEFAULT_CONFIG + _DEFAULT_EVOLUTION).splitlines()}
+    assert keys == ({"steps" if f.name == "n_steps" else f.name
+                     for f in dataclasses.fields(ExperimentConfig)
+                     if f.name not in ("impact", "evolution", "scaling_lags")}
+                    | {f"impact.{f.name}" for f in dataclasses.fields(ImpactParams)}
+                    | {f"evolution.{f.name}" for f in dataclasses.fields(EvolutionParams)})
+    # any evolution.* key enables the tournament, so the evolution defaults
+    # are compared with a config that sets only one of them
+    bodies = {"none": None, "defaults": _DEFAULT_CONFIG,
+              "evolution": "evolution.period = 50\n",
+              "defaults-evolution": _DEFAULT_CONFIG + _DEFAULT_EVOLUTION}
+    written = {}
+    for name, body in bodies.items():
+        out = tmp_path / f"{name}.json"
+        argv = ["abm", "--format", "json", "--out", str(out)]
+        if body is not None:
+            (tmp_path / f"{name}.cfg").write_text(body)
+            argv += ["--config", str(tmp_path / f"{name}.cfg")]
+        assert main(argv) == 0
+        written[name] = out.read_bytes()
+    capsys.readouterr()
+    assert written["defaults"] == written["none"]
+    assert written["defaults-evolution"] == written["evolution"] != written["none"]
 
 
 @pytest.mark.parametrize("key, body", [
@@ -348,6 +406,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+_FLAGS = {
+    "simulate": "--seed --out --format --hurst --k --beta --delta --mu --steps --paths",
+    "estimate": "--seed --out --format",
+    "pdf": "--seed --out --format --hurst --k --beta --delta --mu --tau",
+    "price": "--seed --out --format --spot --strike --rate --sigma --tau --alpha-disp",
+    "smile": "--seed --out --format --hurst --k --beta --delta --spot --rate --sigma "
+             "--alpha-disp",
+    "abm": "--seed --out --format --steps --config",
+    "lob": "--seed --out --format --width --order-size --steps --book-trace",
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *_FLAGS[command].split()}
+
+
 def _fresh_python(code, cwd):
     # a fresh interpreter, as every CLI call starts one; the package root
     # goes first on PYTHONPATH because a relative entry does not resolve
@@ -426,10 +505,12 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
 
 @pytest.mark.parametrize("argv, name", [
     (["pdf", "--beta=-800"], "beta=-800.0"),
+    (["pdf", "--beta=-744", "--k", "0"], "beta=-744.0"),
     (["price", "--alpha-disp", "1e3"], "alpha=1000.0"),
     (["simulate", "--steps", "2000", "--k", "0", "--beta=-400", "--delta", "1e308"],
      "dt=1e+308"),
-], ids=["pdf-return-sd-underflow", "price-kernel-weight-overflow",
+], ids=["pdf-return-sd-underflow", "pdf-density-peak-overflow",
+        "price-kernel-weight-overflow",
         "simulate-time-stamps-overflow"])
 def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,
                                                             name):

@@ -1,6 +1,7 @@
 """CLI fuzz: any numeric flag, abm config value or estimate input file
-exits 0, 1 or 2, and a failure is one JSON line on stderr, never a
-traceback. A simulate run that exits 0 wrote only finite positive prices.
+exits 0, 1 or 2. A domain failure (exit 1) is exactly one JSON line on
+stderr, a success leaves stderr empty, and no run prints a traceback. A
+simulate run that exits 0 wrote only finite positive prices.
 
 Examples are derandomized, so every run draws the same command lines.
 """
@@ -105,9 +106,12 @@ def _fuzz_main(argv: list[str]) -> tuple[int, str]:
 def _assert_error_contract(code: int, err: str) -> None:
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
+    if code == 0:
+        assert err == "", err
     if code == 1:
-        doc = json.loads(err.splitlines()[-1])
-        assert set(doc) == {"error", "message"}
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 _FUZZ = hypothesis.settings(max_examples=120, derandomize=True, database=None,

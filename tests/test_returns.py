@@ -112,3 +112,21 @@ def test_return_sd_below_float_range_names_beta(k):
     for f in (pdf, cdf):
         with pytest.raises(ParameterError, match=r"beta=-800\.0"):
             f(np.array([0.0, 1e-300]), p)
+
+
+@pytest.mark.parametrize("beta, k", [(-744.0, 0.0), (-705.0, 0.59)])
+def test_density_peak_past_float_range_names_beta(beta, k):
+    # the return sd is positive but subnormal at some log-vol node, so the
+    # density's peak 1/(sd sqrt(2 pi)) overflows; the cdf stays defined
+    p = ReturnDistParams(beta=beta, k=k)
+    with pytest.raises(ParameterError, match=rf"beta={beta!r} puts the peak"):
+        pdf(np.array([0.0, 1.0]), p)
+    assert cdf(np.array([-1.0, 1.0]), p).tolist() == [0.0, 1.0]
+
+
+def test_far_tail_is_an_exact_zero_without_warnings():
+    # z*z, and at 1e300 z itself, overflow; exp(-inf) and ndtr(+-inf) are
+    # exact, and the pytest filter turns any RuntimeWarning into a failure
+    p = ReturnDistParams(beta=-700.0)
+    assert pdf(1.0, p) == 0.0 and pdf(1e300, p) == 0.0
+    assert cdf(1e300, p) == 1.0 and cdf(-1e300, p) == 0.0
