@@ -22,14 +22,12 @@ import numpy as np
 
 from .errors import (GenerationError, ParameterError, finite, integer, nonnegative, one_of,
                      positive)
-from .estimation import EstimationReport, estimate_report, pipeline_logvol
-from .rng import substream
+from .estimation import WINDOW, EstimationReport, estimate_report, pipeline_logvol
+from .rng import _ABM_STREAM, substream
 from .simulate import MarketPath
 
 STEP_F = "step"
 LOGISTIC_F = "logistic"
-
-_ABM_STREAM = 4  # substream id; keeps runs independent of the model simulators
 
 _CODE_WEIGHTS = np.array([27, 9, 3, 1])
 _BLOCK = 4096  # most steps per kernel call, so a run's draws stay O(block)
@@ -163,7 +161,7 @@ def _signal_weight(x: float, f_choice: str, beta_f: float) -> float:
 
 
 def info_vector(misprice: float, trend: float, f_choice: str = STEP_F,
-                beta_f: float = 25.0) -> np.ndarray:
+                beta_f: float = MarketEnv.beta_f) -> np.ndarray:
     """Weights of the four signal patterns; always sums to 1.
 
     With the step choice the vector is one-hot; the logistic choice blends
@@ -319,15 +317,15 @@ class ExperimentConfig:
     seed: int = 0
     unit_investment: float = 1.0
     impact: ImpactParams = field(default_factory=ImpactParams)
-    noise_sigma: float = 0.02
-    value_walk_sigma: float = 0.01
-    f_choice: str = STEP_F
-    beta_f: float = 25.0
+    noise_sigma: float = MarketEnv.noise_sigma
+    value_walk_sigma: float = MarketEnv.value_walk_sigma
+    f_choice: str = MarketEnv.f_choice
+    beta_f: float = MarketEnv.beta_f
     evolution: EvolutionParams | None = None
     price0: float = 1.0
     cash0: float = 0.0
     stock0: float = 0.0
-    window: int = 21
+    window: int = WINDOW
     scaling_lags: tuple[int, ...] | None = None
 
     def validate(self) -> None:

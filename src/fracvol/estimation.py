@@ -17,6 +17,8 @@ import numpy as np
 from .errors import (GridMismatchError, InsufficientDataError, ParameterError,
                      grid_ratio, integer, positive)
 
+WINDOW = 21  # default induced-volatility window, in price points
+
 
 def _sliding_sums(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     c1 = np.concatenate([[0.0], np.cumsum(x)])
@@ -210,7 +212,7 @@ class EstimationReport:
     n_floored: int
 
 
-def estimate_report(prices, dt: float = 1.0, window: int = 21,
+def estimate_report(prices, dt: float = 1.0, window: int = WINDOW,
                     delta: float = 1.0, detrend: bool = False,
                     debias: bool = True, scaling_lags=None, max_lag: int = 10,
                     acf_lags: int = 20) -> EstimationReport:

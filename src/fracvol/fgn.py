@@ -12,6 +12,9 @@ definite for every 0 < H <= 1 (Dietrich & Newsam 1997; Craigmile 2003), so
 its computed eigenvalues go negative only through round-off in the
 autocovariance. Those above a round-off bound derived from n and H are
 clipped to zero; anything lower raises GenerationError.
+
+LogVolParams is the model's log-vol law, log sigma ~ N(beta, (k delta^(H-1))^2)
+over fGn at spacing delta, with the paper's defaults; simulate and returns extend it.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError, finite, integer, positive
+from .errors import GenerationError, ParameterError, finite, integer, nonnegative, positive
 from .rng import substream
 
 
@@ -32,13 +35,31 @@ def check_hurst(hurst: float) -> float:
     return float(hurst)
 
 
-def check_logvol_scale(k: float, delta: float, hurst: float) -> None:
-    """For k > 0, the log-vol variance k^2 delta^(2H-2) is a finite float."""
-    try:
-        var = (float(k) * math.pow(delta, hurst - 1.0)) ** 2 if k else 0.0
-    except OverflowError:  # delta^(H-1) or its square is past the float range
-        var = math.inf
-    finite(**{"log-vol variance k^2 delta^(2H-2)": var})
+@dataclass(frozen=True)
+class LogVolParams:
+    """log sigma ~ N(beta, (k delta^(H-1))^2), price drift mu: the paper's model."""
+
+    mu: float = 0.0
+    beta: float = -5.0
+    k: float = 0.59
+    delta: float = 1.0
+    hurst: float = 0.83
+
+    @property
+    def sigma_logvol(self) -> float:
+        """Standard deviation of log sigma: k delta^(H-1)."""
+        return float(self.k) * math.pow(self.delta, self.hurst - 1.0)
+
+    def validate(self) -> None:
+        check_hurst(self.hurst)
+        finite(mu=self.mu, beta=self.beta)
+        positive(delta=self.delta)
+        nonnegative(k=self.k)
+        try:  # for k > 0, the log-vol variance must be a finite float
+            var = self.sigma_logvol ** 2 if self.k else 0.0
+        except OverflowError:  # delta^(H-1) or its square is past the float range
+            var = math.inf
+        finite(**{"log-vol variance k^2 delta^(2H-2)": var})
 
 
 def fbm_covariance(s, t, hurst: float):

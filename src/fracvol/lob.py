@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ParameterError, integer, nonnegative, one_of, positive
-from .estimation import induced_volatility, pipeline_logvol
-from .rng import substream
+from .estimation import WINDOW, induced_volatility, pipeline_logvol
+from .rng import _LOB_STREAM, substream
 from .simulate import MarketPath
 
 LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL = 0, 1, 2, 3
@@ -28,37 +28,11 @@ EVENT_NAMES = ("limit_ask", "limit_bid", "market_buy", "market_sell")
 TWO_SIDED = "two_sided"
 SIDES_ONLY = "sides_only"
 
-_LOB_STREAM = 5
-_PIPELINE_WINDOW = 21  # placeholder log-volatility window for emitted paths
 # keeps every placement span within numpy's 32-bit bounded-integer path,
 # which _arrivals replays; warm-up alone is 2*10**7 arrivals at this width
 _MAX_HALF_WIDTH = 2 ** 20
 _RAW_BLOCK = 1 << 12  # raw Philox words per numpy call; small keeps peak RSS flat
 _MASK32 = 0xFFFFFFFF
-
-
-@dataclass
-class BookState:
-    """Resting liquidity, pending market orders and the current price slot."""
-
-    price_slot: int = 0
-    slot_size: float = 0.1
-    half_width: int = 10
-    asks: dict = field(default_factory=dict)
-    bids: dict = field(default_factory=dict)
-    pending_buys: float = 0.0
-    pending_sells: float = 0.0
-
-    def validate(self) -> None:
-        integer(1, half_width=self.half_width)
-        positive(slot_size=self.slot_size)
-        nonnegative(pending_buys=self.pending_buys, pending_sells=self.pending_sells)
-        lo, hi = self.price_slot - self.half_width, self.price_slot + self.half_width
-        for name, side in (("ask", self.asks), ("bid", self.bids)):
-            for slot, size in side.items():
-                if not lo <= slot <= hi:
-                    raise ParameterError(f"{name} at slot {slot} outside window [{lo}, {hi}]")
-                positive(**{f"{name} size at slot {slot}": size})
 
 
 @dataclass(frozen=True)
@@ -86,6 +60,30 @@ class LobParams:
                 f"event_probs must be 4 nonnegative values summing to 1, got {p!r}"
             )
         one_of("placement", self.placement, (TWO_SIDED, SIDES_ONLY))
+
+
+@dataclass
+class BookState:
+    """Resting liquidity, pending market orders and the current price slot."""
+
+    price_slot: int = 0
+    slot_size: float = LobParams.slot_size
+    half_width: int = LobParams.half_width
+    asks: dict = field(default_factory=dict)
+    bids: dict = field(default_factory=dict)
+    pending_buys: float = 0.0
+    pending_sells: float = 0.0
+
+    def validate(self) -> None:
+        integer(1, half_width=self.half_width)
+        positive(slot_size=self.slot_size)
+        nonnegative(pending_buys=self.pending_buys, pending_sells=self.pending_sells)
+        lo, hi = self.price_slot - self.half_width, self.price_slot + self.half_width
+        for name, side in (("ask", self.asks), ("bid", self.bids)):
+            for slot, size in side.items():
+                if not lo <= slot <= hi:
+                    raise ParameterError(f"{name} at slot {slot} outside window [{lo}, {hi}]")
+                positive(**{f"{name} size at slot {slot}": size})
 
 
 def _move_price(book: BookState, new_slot: int) -> None:
@@ -381,8 +379,8 @@ def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
             f"price walked to {float(prices[step])!r} at recorded step {step} "
             f"(seed {params.seed}); raise initial_price for this configuration"
         )
-    vol = induced_volatility(np.log(prices), _PIPELINE_WINDOW)
-    logvol = pipeline_logvol(vol, len(prices), _PIPELINE_WINDOW)
+    vol = induced_volatility(np.log(prices), WINDOW)  # a placeholder logvol
+    logvol = pipeline_logvol(vol, len(prices), WINDOW)
     path = MarketPath(times=np.arange(params.steps + 1, dtype=float),
                       prices=prices, logvol=logvol, seed=params.seed)
     path.validate()

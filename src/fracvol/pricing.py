@@ -40,6 +40,7 @@ _SPREAD_SDS = 8.0  # quadrature window, in units of alpha
 _IV_LO, _IV_HI = 1e-8, 5.0
 _IV_TOL = 1e-10
 _BLOCK = 64  # kernel rows per pass: each (rows, nodes) temporary stays near 256 kB
+_NODES = 512  # Gauss-Legendre nodes of the M-kernel
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class VolDispersion:
         """Marginal log-vol dispersion k delta^(H-1), or, given a horizon,
         the dispersion of the log-vol averaged over horizon/delta steps."""
         params.validate()
-        alpha = params.k * params.delta ** (params.hurst - 1.0)
+        alpha = params.sigma_logvol
         if horizon is not None:
             positive(horizon=horizon)
             alpha *= max(horizon / params.delta, 1.0) ** (params.hurst - 1.0)
@@ -178,7 +179,7 @@ def _m_rows(alpha: float, a: np.ndarray, b: np.ndarray, nodes: int) -> np.ndarra
     return out
 
 
-def m_function(alpha: float, a: float, b: float, nodes: int = 512) -> float:
+def m_function(alpha: float, a: float, b: float, nodes: int = _NODES) -> float:
     """M(alpha, a, b); the alpha = 0 limit is Phi(a + b) / (a + b)."""
     nonnegative(alpha=alpha)
     if a == 0.0 and b == 0.0:
@@ -235,12 +236,12 @@ def black_scholes(opt: OptionInputs) -> float:
     return float(_bs(opt.spot, *_contract(opt), opt.sigma_t)[0])
 
 
-def price(opt: OptionInputs, disp: VolDispersion, nodes: int = 512) -> float:
+def price(opt: OptionInputs, disp: VolDispersion, nodes: int = _NODES) -> float:
     """Call value under a lognormal vol mixture of dispersion disp.alpha."""
     terms = _contract(opt)
     disp.validate()
     if disp.alpha == 0.0:
-        return black_scholes(opt)
+        return float(_bs(opt.spot, *terms, opt.sigma_t)[0])
     return float(_mixture(disp.alpha, opt.spot, *terms, opt.sigma_t, nodes)[0])
 
 
@@ -269,7 +270,7 @@ def smile_surface(model: ModelParams, sigma_t: float,
                   moneyness: np.ndarray | None = None,
                   taus: np.ndarray | None = None,
                   spot: float = 1.0, rate: float = 0.001,
-                  alpha: float | None = None, nodes: int = 512) -> SmileSurface:
+                  alpha: float | None = None, nodes: int = _NODES) -> SmileSurface:
     """Price, implied vol and deviation from Black-Scholes over a grid.
 
     moneyness is S/K at fixed spot; the defaults cover S/K in [0.5, 1.5]

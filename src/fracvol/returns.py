@@ -2,11 +2,10 @@
 
 Over a horizon lag, the log-volatility is Gaussian, so the return is a
 lognormal mixture of Gaussians: condition on sigma = e^u with
-u ~ N(beta, (k delta^(H-1))^2), and the return is
-N((mu - sigma^2/2) * lag, sigma^2 * lag). The density, CDF and sampler
-integrate or draw over that mixture; the large-return tail follows
-exp(-log^2(lambda) / C) with C = 8 k^2 delta^(2H-2) up to a slowly varying
-prefactor.
+u ~ N(beta, (k delta^(H-1))^2) (fgn.LogVolParams), and the return is
+N((mu - sigma^2/2) * lag, sigma^2 * lag). pdf and cdf share one quadrature over
+it (one node at k = 0), the sampler draws from it; the large-return tail is
+exp(-log^2(lambda) / C), C = 8 k^2 delta^(2H-2), up to a slowly varying factor.
 """
 from __future__ import annotations
 
@@ -16,40 +15,29 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import OutOfRegimeError, ParameterError, finite, integer, nonnegative, positive
-from .fgn import check_hurst, check_logvol_scale
+from .errors import OutOfRegimeError, ParameterError, integer, positive
+from .fgn import LogVolParams
 from .rng import substream
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_NODES = 256  # Gauss-Legendre nodes over log sigma
+_HALFWIDTH_SDS = 12.0  # half-width of the log-sigma window, in its sds
 
 
 @dataclass(frozen=True)
-class ReturnDistParams:
+class ReturnDistParams(LogVolParams):
     """Distribution parameters over a fixed horizon `lag`."""
 
-    beta: float = -5.0
-    k: float = 0.59
-    delta: float = 1.0
-    hurst: float = 0.83
-    mu: float = 0.0
     lag: float = 1.0
 
     def validate(self) -> None:
-        check_hurst(self.hurst)
-        finite(beta=self.beta, mu=self.mu)
-        nonnegative(k=self.k)
-        positive(delta=self.delta, lag=self.lag)
-        check_logvol_scale(self.k, self.delta, self.hurst)
+        super().validate()
+        positive(lag=self.lag)
 
     @property
     def theta(self) -> float:
         """Central volatility e^beta."""
         return float(np.exp(self.beta))
-
-    @property
-    def sigma_logvol(self) -> float:
-        """Standard deviation of log sigma: k delta^(H-1)."""
-        return self.k * self.delta ** (self.hurst - 1.0)
 
     @property
     def tail_coefficient(self) -> float:
@@ -75,10 +63,16 @@ def _gaussian_pdf(x, mean, sd):
 
 
 def _mixture_nodes(params: ReturnDistParams, nodes: int, halfwidth_sds: float):
-    """Log-vol quadrature nodes and their mixture weights."""
+    """Nodes e^u and weights of the log-vol quadrature; e^beta alone at k = 0."""
     integer(1, nodes=nodes)
     positive(halfwidth_sds=halfwidth_sds)
+    if params.k == 0.0:
+        return np.array([params.theta]), np.ones(1)
     s = params.sigma_logvol
+    with np.errstate(over="ignore", divide="ignore"):  # the overflow is what is checked
+        if not np.isfinite(1.0 / (s * _SQRT_2PI)):  # s is subnormal or 0
+            raise ParameterError(f"k={params.k!r} puts the peak log-vol density 1/(k "
+                                 "delta^(H-1) sqrt(2 pi)) past the float range; raise k")
     x, w = _leggauss(nodes)
     u = params.beta + halfwidth_sds * s * x
     weights = w * halfwidth_sds * s * _gaussian_pdf(u, params.beta, s)
@@ -108,8 +102,8 @@ def _density_moments(params: ReturnDistParams, sigma, peak: bool = False):
     return mean, sd
 
 
-def pdf(r, params: ReturnDistParams, nodes: int = 256,
-        halfwidth_sds: float = 12.0):
+def pdf(r, params: ReturnDistParams, nodes: int = _NODES,
+        halfwidth_sds: float = _HALFWIDTH_SDS):
     """Density of the return over params.lag; r may be an array.
 
     The mixture integral runs over log sigma within halfwidth_sds standard
@@ -119,25 +113,17 @@ def pdf(r, params: ReturnDistParams, nodes: int = 256,
     """
     params.validate()
     r_arr = np.asarray(r, dtype=float)
-    if params.k == 0.0:
-        mean, sd = _density_moments(params, params.theta, peak=True)
-        out = _gaussian_pdf(r_arr, mean, sd)
-        return out if out.ndim else float(out)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
     mean, sd = _density_moments(params, sigma, peak=True)
     out = _gaussian_pdf(r_arr[..., None], mean, sd) @ weights
     return out if out.ndim else float(out)
 
 
-def cdf(r, params: ReturnDistParams, nodes: int = 256,
-        halfwidth_sds: float = 12.0):
+def cdf(r, params: ReturnDistParams, nodes: int = _NODES,
+        halfwidth_sds: float = _HALFWIDTH_SDS):
     """Mixture CDF, the same quadrature as pdf."""
     params.validate()
     r_arr = np.asarray(r, dtype=float)
-    if params.k == 0.0:
-        mean, sd = _density_moments(params, params.theta)
-        out = ndtr(_standard(r_arr, mean, sd))
-        return out if out.ndim else float(out)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
     mean, sd = _density_moments(params, sigma)
     out = ndtr(_standard(r_arr[..., None], mean, sd)) @ weights
@@ -188,10 +174,8 @@ def tail_asymptotic(r, params: ReturnDistParams, prefactor: float = 1.0):
         raise ParameterError("tail form degenerates at k = 0 (Gaussian tail)")
     lam = np.asarray(tail_lambda(r, params), dtype=float)
     if np.any(lam <= 1.0):
-        raise OutOfRegimeError(
-            "tail form requires lambda > 1; got lambda as small as "
-            f"{lam.min() if lam.ndim else float(lam):.3g}"
-        )
+        raise OutOfRegimeError("tail form requires lambda > 1; got lambda as small "
+                               f"as {lam.min():.3g}")
     log_lam = np.log(lam)
     out = prefactor * (params.lag * lam) ** -0.5 * np.exp(
         -log_lam * log_lam / params.tail_coefficient

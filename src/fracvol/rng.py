@@ -12,6 +12,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# The substream ids, one table so they stay distinct: the model's volatility and
+# price drivers, their per-chunk ensemble variants, the agent market, the book.
+_VOL, _PRICE, _ENS_VOL, _ENS_PRICE, _ABM_STREAM, _LOB_STREAM = range(6)
+
 
 def substream(seed: int, *stream: int) -> np.random.Generator:
     """Return the generator for substream ``stream`` of ``seed``.

@@ -1,6 +1,7 @@
 """Path simulation for the fractional-volatility price model.
 
-Two constructions are provided.
+ModelParams extends fgn.LogVolParams, the model's log-vol law, by how the
+price meets the volatility driver. Two constructions are provided.
 
 ``simulate_path`` draws log-volatility as exact fractional Gaussian noise at
 the observation spacing delta,
@@ -24,39 +25,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GenerationError, GridMismatchError, ParameterError, finite,
-                     grid_ratio, integer, nonnegative, one_of, positive)
-from .fgn import _sample_unit_fgn, check_hurst, check_logvol_scale
-from .rng import substream
+from .errors import (GenerationError, GridMismatchError, ParameterError, grid_ratio,
+                     integer, nonnegative, one_of, positive)
+from .fgn import LogVolParams, _sample_unit_fgn
+from .rng import _ENS_PRICE, _ENS_VOL, _PRICE, _VOL, substream
 
 INDEPENDENT_DRIVERS = "independent_drivers"
 IDENTIFIED_DRIVERS = "identified_drivers"
 
-# substream ids: volatility driver, price driver, per-chunk ensemble variants
-_VOL, _PRICE, _ENS_VOL, _ENS_PRICE = 0, 1, 2, 3
 _CHUNK = 256  # fixed ensemble chunk size; part of the determinism contract
+_HISTORY = 4096  # moving-average kernel length, in dt steps
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(LogVolParams):
     """Parameters of the fractional volatility model."""
 
-    mu: float = 0.0
-    beta: float = -5.0
-    k: float = 0.59
-    delta: float = 1.0
-    hurst: float = 0.83
     coupling: str = INDEPENDENT_DRIVERS
     # Kernel amplitude of the moving-average form. None means "calibrate so
     # the stationary variance of log sigma matches the fGn form", k^2 d^(2H-2).
     kprime: float | None = None
 
     def validate(self) -> None:
-        check_hurst(self.hurst)
-        finite(mu=self.mu, beta=self.beta)
-        positive(delta=self.delta)
-        nonnegative(k=self.k)
-        check_logvol_scale(self.k, self.delta, self.hurst)
+        super().validate()
         if self.kprime is not None:
             nonnegative(kprime=self.kprime)
         one_of("coupling", self.coupling, (INDEPENDENT_DRIVERS, IDENTIFIED_DRIVERS))
@@ -84,6 +75,7 @@ class MarketPath:
 def logvol_marginal_moments(params: ModelParams) -> tuple[float, float]:
     """Mean and variance of log sigma_t: (beta, k^2 delta^(2H - 2))."""
     params.validate()
+    # not sigma_logvol**2: mean_variance_fit's bits depend on this rounding
     return params.beta, params.k**2 * params.delta ** (2.0 * params.hurst - 2.0)
 
 
@@ -99,7 +91,7 @@ def _logvol_grid(params: ModelParams, n_values: int, dt: float,
     """
     if params.k == 0.0:
         return np.full((n_paths, n_values), params.beta)
-    scale = params.k * params.delta ** (params.hurst - 1.0)
+    scale = params.sigma_logvol
     hold = grid_ratio(params.delta, dt)
     if hold is not None:
         n_vol = -(-n_values // hold)  # ceil
@@ -187,7 +179,7 @@ def _kernel(history: int, dt: float, hurst: float) -> np.ndarray:
 def calibrated_kprime(params: ModelParams, dt: float, history: int) -> float:
     """Kernel amplitude matching the fGn-form stationary log-vol variance."""
     w = _kernel(history, dt, params.hurst)
-    return params.k * params.delta ** (params.hurst - 1.0) / np.sqrt(np.sum(w**2) * dt)
+    return params.sigma_logvol / np.sqrt(np.sum(w**2) * dt)
 
 
 def _valid_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -228,7 +220,7 @@ def _identified_logvol_eps(params: ModelParams, n_steps: int, dt: float,
 
 
 def simulate_identified(params: ModelParams, n_steps: int, dt: float,
-                        s0: float = 1.0, history: int = 4096,
+                        s0: float = 1.0, history: int = _HISTORY,
                         seed: int = 0) -> MarketPath:
     """Simulate one path of the moving-average form.
 
@@ -248,7 +240,7 @@ def simulate_identified(params: ModelParams, n_steps: int, dt: float,
 
 
 def identified_return_ensemble(params: ModelParams, n_steps: int, dt: float,
-                               history: int = 4096, seed: int = 0,
+                               history: int = _HISTORY, seed: int = 0,
                                n_paths: int = 1) -> np.ndarray:
     """(n_paths, n_steps) log-returns from the moving-average form.
 

@@ -506,10 +506,12 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
 @pytest.mark.parametrize("argv, name", [
     (["pdf", "--beta=-800"], "beta=-800.0"),
     (["pdf", "--beta=-744", "--k", "0"], "beta=-744.0"),
+    (["pdf", "--k", "1e-320"], "k=1e-320"),
     (["price", "--alpha-disp", "1e3"], "alpha=1000.0"),
     (["simulate", "--steps", "2000", "--k", "0", "--beta=-400", "--delta", "1e308"],
      "dt=1e+308"),
 ], ids=["pdf-return-sd-underflow", "pdf-density-peak-overflow",
+        "pdf-logvol-peak-overflow",
         "price-kernel-weight-overflow",
         "simulate-time-stamps-overflow"])
 def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,

@@ -1,9 +1,11 @@
 """The package's export table: every public name resolves to the object its
 defining module holds, however it is reached."""
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +61,39 @@ def test_unknown_name_raises_attribute_error():
         fracvol.no_such_name
     with pytest.raises(ImportError):
         from fracvol import no_such_name  # noqa: F401
+
+
+def _literal_defaults():
+    """{(name, value): [file:line, ...]} over src/fracvol: each literal
+    keyword default of a function and each literal dataclass field default,
+    skipping None, bools, 0, 1 and empty values."""
+    found = {}
+    for path in sorted(Path(fracvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                plain = args.posonlyargs + args.args
+                pairs = list(zip(plain[len(plain) - len(args.defaults):], args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                pairs = [(a.arg, d) for a, d in pairs]
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                pairs = [(s.target.id, s.value) for s in node.body
+                         if isinstance(s, ast.AnnAssign) and s.value is not None]
+            else:
+                continue
+            for name, default in pairs:
+                try:
+                    value = ast.literal_eval(default)
+                except ValueError:
+                    continue
+                if (value is None or isinstance(value, bool) or value in (0, 1)
+                        or (isinstance(value, (str, tuple)) and not value)):
+                    continue
+                found.setdefault((name, value), []).append(f"{path.name}:{default.lineno}")
+    return found
+
+
+def test_no_default_written_twice():
+    twice = {pair: where for pair, where in _literal_defaults().items() if len(where) > 1}
+    assert twice == {}

@@ -115,6 +115,8 @@ BAD_CALLS = {
     "m_function-nodes-16.0": lambda: m_function(0.3, 0.5, 0.3, nodes=16.0),
     "smile_surface-nodes-64.0": lambda: smile_surface(MODEL, 0.01, nodes=64.0),
     "ReturnDistParams-beta-None": lambda: ReturnDistParams(beta=None).validate(),
+    "ReturnDistParams-mu-None": lambda: ReturnDistParams(mu=None).validate(),
+    "ReturnDistParams-k-str": lambda: ReturnDistParams(k="0.5").validate(),
     "pdf-nodes-2.5": lambda: pdf(0.0, RDP, nodes=2.5),
     "pdf-halfwidth_sds-0": lambda: pdf(0.0, RDP, halfwidth_sds=0.0),
     "cdf-halfwidth_sds-nan": lambda: cdf(0.0, RDP, halfwidth_sds=math.nan),
@@ -144,6 +146,7 @@ BAD_CALLS = {
         lambda: mean_variance_fit(ModelParams(delta=1e-200, hurst=0.001), 1e-200),
     "pdf-logvol-variance": lambda: pdf(0.0, ReturnDistParams(delta=1e-310, hurst=0.001)),
     "ModelParams-k-squared-overflow": lambda: ModelParams(k=1e200).validate(),
+    "ReturnDistParams-k-squared-overflow": lambda: ReturnDistParams(k=1e200).validate(),
 }
 
 

@@ -18,6 +18,9 @@ def test_zero_coupling_is_gaussian():
     r = np.linspace(-0.5, 0.5, 11)
     np.testing.assert_allclose(pdf(r, p), norm.pdf(r, mean, sd), rtol=1e-12)
     np.testing.assert_allclose(cdf(r, p), norm.cdf(r, mean, sd), rtol=1e-12)
+    for f in (pdf, cdf):  # a scalar r gives a float, the array call's element
+        value = f(float(r[0]), p)
+        assert type(value) is float and value == f(r, p)[0]
 
 
 def test_pdf_normalizes():
@@ -112,6 +115,16 @@ def test_return_sd_below_float_range_names_beta(k):
     for f in (pdf, cdf):
         with pytest.raises(ParameterError, match=r"beta=-800\.0"):
             f(np.array([0.0, 1e-300]), p)
+
+
+@pytest.mark.parametrize("k", [1e-320, 5e-324])
+def test_subnormal_logvol_sd_names_k(k):
+    # k delta^(H-1) is subnormal, so the log-vol density's peak
+    # 1/(s sqrt(2 pi)) overflows in the node weights
+    p = ReturnDistParams(k=k)
+    for f in (pdf, cdf):
+        with pytest.raises(ParameterError, match=rf"^k={k!r} puts the peak log-vol"):
+            f(np.array([0.0, 1e-3]), p)
 
 
 @pytest.mark.parametrize("beta, k", [(-744.0, 0.0), (-705.0, 0.59)])
