@@ -20,8 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (GenerationError, ParameterError, finite, integer, nonnegative, one_of,
-                     positive)
+from .errors import (Checked, GenerationError, ParameterError, finite, integer, nonnegative,
+                     one_of, positive)
 from .estimation import WINDOW, EstimationReport, estimate_report, pipeline_logvol
 from .rng import _ABM_STREAM, substream
 from .simulate import MarketPath
@@ -34,7 +34,7 @@ _BLOCK = 4096  # most steps per kernel call, so a run's draws stay O(block)
 
 
 @dataclass(frozen=True)
-class Strategy:
+class Strategy(Checked):
     """Investment rule: one position per (mispricing, trend) sign pattern.
 
     entries[0] applies when both signals fire, entries[1] when only the
@@ -54,7 +54,6 @@ class Strategy:
 
 def strategy_code(strategy: Strategy) -> int:
     """Base-3 label in [0, 80], most significant digit first."""
-    strategy.validate()
     return int(sum(w * (e + 1) for w, e in zip(_CODE_WEIGHTS, strategy.entries)))
 
 
@@ -79,7 +78,7 @@ TREND_FOLLOWING_CODE = strategy_code(TREND_FOLLOWING)  # 60
 
 
 @dataclass(frozen=True)
-class ImpactParams:
+class ImpactParams(Checked):
     """Aggregate-flow price impact omega / (lambda0 + lambda1 |omega|^a).
 
     Linear in the flow while |omega| << (lambda0/lambda1)^(1/a), saturating
@@ -100,7 +99,7 @@ class ImpactParams:
 
 
 @dataclass
-class MarketEnv:
+class MarketEnv(Checked):
     """Mutable market state plus the knobs that drive it.
 
     z is the current log price, z_prev the previous one (their difference is
@@ -119,14 +118,13 @@ class MarketEnv:
     beta_f: float = 25.0
 
     def validate(self) -> None:
-        self.impact.validate()
         nonnegative(noise_sigma=self.noise_sigma, value_walk_sigma=self.value_walk_sigma)
         one_of("f_choice", self.f_choice, (STEP_F, LOGISTIC_F))
         positive(beta_f=self.beta_f)
 
 
 @dataclass(frozen=True)
-class EvolutionParams:
+class EvolutionParams(Checked):
     """Every `period` steps the `copiers` worst performers adopt strategies
     drawn uniformly from the `copiers` best, each adoption mutating one
     uniformly chosen component to a uniform {-1,0,1} value with probability
@@ -181,7 +179,6 @@ def _impact(omega: float, lambda0: float, lambda1: float, a: float) -> float:
 
 def market_impact(omega: float, impact: ImpactParams) -> float:
     """Log-price move caused by net order flow omega."""
-    impact.validate()
     return _impact(omega, impact.lambda0, impact.lambda1, impact.alpha_exponent)
 
 
@@ -271,7 +268,7 @@ def step(env: MarketEnv, agents: Population, rng: np.random.Generator,
     the order, stock rises by order/price). A price past the float range
     raises OverflowError before any trade settles.
     """
-    env.validate()
+    env.validate()  # a MarketEnv is mutable: it may have changed since it was built
     if not _advance(env, agents, rng, unit_investment, 1):
         raise OverflowError(f"log price {env.z!r} is past the float range")
     return env, agents
@@ -286,7 +283,6 @@ def evolve(agents: Population, evo: EvolutionParams, rng: np.random.Generator,
     evo.random_selection) each draw a source uniformly from the best
     copiers' pre-update strategies.
     """
-    evo.validate()
     n = len(agents)
     if evo.copiers > n:
         raise ParameterError(
@@ -307,7 +303,7 @@ def evolve(agents: Population, evo: EvolutionParams, rng: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Checked):
     """A complete market run: population mix, market knobs, optional
     evolution, and the estimation-window settings for the report."""
 
@@ -333,8 +329,6 @@ class ExperimentConfig:
         integer(8, window=self.window)
         positive(unit_investment=self.unit_investment, price0=self.price0)
         finite(cash0=self.cash0, stock0=self.stock0)
-        if self.evolution is not None:
-            self.evolution.validate()
 
 
 @dataclass(frozen=True)
@@ -351,14 +345,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Evolution, when enabled, fires after every `period`-th step using the
     post-step price. Replaying the same config and seed is bit-identical.
     """
-    config.validate()
     rng = substream(config.seed, _ABM_STREAM)
     z0 = math.log(config.price0)
     env = MarketEnv(z=z0, z_prev=z0, xi=z0, impact=config.impact,
                     noise_sigma=config.noise_sigma,
                     value_walk_sigma=config.value_walk_sigma,
                     f_choice=config.f_choice, beta_f=config.beta_f)
-    env.validate()
     agents = Population.from_counts(config.population, price0=config.price0,
                                     cash0=config.cash0, stock0=config.stock0)
     evo = config.evolution

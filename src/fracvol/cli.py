@@ -99,7 +99,6 @@ def _run_estimate(args: argparse.Namespace) -> None:
 def _run_pdf(args: argparse.Namespace) -> None:
     from . import returns
     params = returns.ReturnDistParams(**_given(args, returns.ReturnDistParams))
-    params.validate()
     center = returns.central_return(params)
     try:  # sd of the lognormal-mixture return at this horizon
         sd = params.theta * math.exp(params.sigma_logvol ** 2) * math.sqrt(params.lag)

@@ -1,10 +1,12 @@
 """Exception types shared across the package, and its parameter checks.
 
-Public entry points check parameters with the functions at the end, which
-take them as keywords and raise ParameterError naming the first bad one:
-"dt must be positive and finite, got nan". None, strings, NaN and +-inf
-fail finite, positive ("positive and finite") and nonnegative ("nonnegative
-and finite"); integer ("an integer >= lo", or "in [lo, hi]") takes ints and
+A parameter dataclass derives from Checked, so it is checked once, when it
+is built (dataclasses.replace included); entry points check only their own
+scalar arguments. Both use the functions at the end, which take values as
+keywords and raise ParameterError naming the first bad one: "dt must be
+positive and finite, got nan". None, strings, NaN and +-inf fail finite,
+positive ("positive and finite") and nonnegative ("nonnegative and
+finite"); integer ("an integer >= lo", or "in [lo, hi]") takes ints and
 numpy integers but never floats, so no count is truncated. Only math and
 operator are imported, because `import fracvol` loads this module.
 """
@@ -49,6 +51,13 @@ class IngestionError(FracvolError):
     def __init__(self, message, lines=None):
         super().__init__(message)
         self.lines = list(lines or [])
+
+
+class Checked:
+    """Base of the parameter dataclasses: each instance is checked when it is built."""
+
+    def __post_init__(self) -> None:
+        self.validate()
 
 
 def _real_check(wording: str, compare, bound: float):

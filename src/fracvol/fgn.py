@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError, finite, integer, nonnegative, positive
+from .errors import (Checked, GenerationError, ParameterError, finite, integer, nonnegative,
+                     positive)
 from .rng import substream
 
 
@@ -36,7 +37,7 @@ def check_hurst(hurst: float) -> float:
 
 
 @dataclass(frozen=True)
-class LogVolParams:
+class LogVolParams(Checked):
     """log sigma ~ N(beta, (k delta^(H-1))^2), price drift mu: the paper's model."""
 
     mu: float = 0.0

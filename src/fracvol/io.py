@@ -105,10 +105,8 @@ def ingest_prices(file_path: str) -> MarketPath:
                              lines=bad[:10])
     if not times:
         raise IngestionError("no data rows", lines=[])
-    path = MarketPath(times=np.array(times), prices=np.array(prices),
+    return MarketPath(times=np.array(times), prices=np.array(prices),
                       logvol=np.full(len(times), np.nan), seed=0)
-    path.validate()
-    return path
 
 
 def report_to_dict(report: EstimationReport) -> dict:

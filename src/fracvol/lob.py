@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError, integer, nonnegative, one_of, positive
+from .errors import (Checked, GenerationError, ParameterError, integer, nonnegative, one_of,
+                     positive)
 from .estimation import WINDOW, induced_volatility, pipeline_logvol
 from .rng import _LOB_STREAM, substream
 from .simulate import MarketPath
@@ -36,7 +37,7 @@ _MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
-class LobParams:
+class LobParams(Checked):
     """Run parameters. event_probs orders the four arrival types as
     (limit ask, limit bid, market buy, market sell)."""
 
@@ -63,7 +64,7 @@ class LobParams:
 
 
 @dataclass
-class BookState:
+class BookState(Checked):
     """Resting liquidity, pending market orders and the current price slot."""
 
     price_slot: int = 0
@@ -278,7 +279,6 @@ def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
     """
     from itertools import islice
 
-    params.validate()
     w = params.half_width
     n = 2 * w + 1
     sides_only = params.placement == SIDES_ONLY

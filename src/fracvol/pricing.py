@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf, erfc, ndtr
 
-from .errors import (GridMismatchError, NoSolutionError, ParameterError, finite,
+from .errors import (Checked, GridMismatchError, NoSolutionError, ParameterError, finite,
                      grid_ratio, integer, nonnegative, positive)
 from .fgn import fgn_autocovariance
 from .returns import _leggauss
@@ -44,7 +44,7 @@ _NODES = 512  # Gauss-Legendre nodes of the M-kernel
 
 
 @dataclass(frozen=True)
-class OptionInputs:
+class OptionInputs(Checked):
     """European call contract terms plus the current volatility."""
 
     spot: float
@@ -59,7 +59,7 @@ class OptionInputs:
 
 
 @dataclass(frozen=True)
-class VolDispersion:
+class VolDispersion(Checked):
     """Dispersion alpha of the log of the mixing volatility."""
 
     alpha: float
@@ -71,7 +71,6 @@ class VolDispersion:
     def from_model(cls, params: ModelParams, horizon: float | None = None) -> "VolDispersion":
         """Marginal log-vol dispersion k delta^(H-1), or, given a horizon,
         the dispersion of the log-vol averaged over horizon/delta steps."""
-        params.validate()
         alpha = params.sigma_logvol
         if horizon is not None:
             positive(horizon=horizon)
@@ -92,7 +91,6 @@ def _terms(spot: float, strike, rate: float, tau) -> tuple[np.ndarray, ...]:
 
 
 def _contract(opt: OptionInputs) -> tuple[np.ndarray, ...]:
-    opt.validate()
     return _terms(opt.spot, [opt.strike], opt.rate, [opt.tau])
 
 
@@ -239,7 +237,6 @@ def black_scholes(opt: OptionInputs) -> float:
 def price(opt: OptionInputs, disp: VolDispersion, nodes: int = _NODES) -> float:
     """Call value under a lognormal vol mixture of dispersion disp.alpha."""
     terms = _contract(opt)
-    disp.validate()
     if disp.alpha == 0.0:
         return float(_bs(opt.spot, *terms, opt.sigma_t)[0])
     return float(_mixture(disp.alpha, opt.spot, *terms, opt.sigma_t, nodes)[0])
@@ -278,9 +275,7 @@ def smile_surface(model: ModelParams, sigma_t: float,
     for the price, the implied vols and Black-Scholes; every value equals
     the scalar `price`, `implied_vol` and `black_scholes` at that point.
     """
-    model.validate()
     disp = VolDispersion(alpha) if alpha is not None else VolDispersion.from_model(model)
-    disp.validate()
     mgrid = np.linspace(0.5, 1.5, 21) if moneyness is None else np.asarray(moneyness, float)
     tgrid = np.linspace(5.0, 100.0, 20) if taus is None else np.asarray(taus, float)
     if mgrid.ndim != 1 or tgrid.ndim != 1 or mgrid.size == 0 or tgrid.size == 0:
@@ -288,7 +283,7 @@ def smile_surface(model: ModelParams, sigma_t: float,
     if np.any(mgrid <= 0) or np.any(tgrid <= 0):
         raise ParameterError("moneyness and taus must be positive")
     for m in (mgrid.min(), mgrid.max()):  # the strike spot/m is monotone in m
-        OptionInputs(spot, spot / m, rate, sigma_t, tgrid.max()).validate()
+        OptionInputs(spot, spot / m, rate, sigma_t, tgrid.max())  # built to be checked
 
     shape = (mgrid.size, tgrid.size)
     terms = _terms(spot, np.repeat(spot / mgrid, shape[1]).tolist(), rate,
@@ -312,7 +307,7 @@ def mean_variance_fit(params: ModelParams, tau: float) -> tuple[float, float]:
     u ~ N(0, alpha^2), gives the (sigma_t, alpha) pair that makes `price`
     comparable with the Monte Carlo oracle.
     """
-    _, s2 = logvol_marginal_moments(params)  # validates params
+    _, s2 = logvol_marginal_moments(params)
     n = _horizon_steps(params, tau)
     lags = np.arange(1, n)
     rho = fgn_autocovariance(lags, params.hurst)  # unit-spacing correlation
@@ -343,7 +338,6 @@ def monte_carlo_price(opt: OptionInputs, params: ModelParams,
     size delta starting from opt.spot, and discounts the terminal payoff.
     The volatility level comes from params.beta; opt.sigma_t is not used.
     """
-    opt.validate()
     integer(2, n_paths=n_paths)  # the standard error needs two payoffs
     n_steps = _horizon_steps(params, opt.tau)
     rn = replace(params, mu=opt.rate)

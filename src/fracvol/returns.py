@@ -76,7 +76,12 @@ def _mixture_nodes(params: ReturnDistParams, nodes: int, halfwidth_sds: float):
     x, w = _leggauss(nodes)
     u = params.beta + halfwidth_sds * s * x
     weights = w * halfwidth_sds * s * _gaussian_pdf(u, params.beta, s)
-    return np.exp(u), weights
+    with np.errstate(over="ignore"):  # the overflow is what is checked
+        sigma = np.exp(u)
+    if not np.isfinite(sigma[-1]):  # the top node
+        raise ParameterError(f"k={params.k!r} puts the top log-vol node e^u past the float "
+                             "range; lower k or beta")
+    return sigma, weights
 
 
 def _conditional_moments(params: ReturnDistParams, sigma):
@@ -88,7 +93,13 @@ def _conditional_moments(params: ReturnDistParams, sigma):
 def _density_moments(params: ReturnDistParams, sigma, peak: bool = False):
     """_conditional_moments for pdf and cdf, which divide by the sd; with
     peak (pdf), the density's peak 1/(sd sqrt(2 pi)) must be a float too."""
-    mean, sd = _conditional_moments(params, sigma)
+    # sigma^2 past the float range makes a node's mean -inf, so its density is
+    # exactly 0 and its cdf exactly 1, the right limit
+    with np.errstate(over="ignore"):
+        mean, sd = _conditional_moments(params, sigma)
+    if not np.max(sd) < np.inf:  # the over="ignore" above must not hide this one
+        raise ParameterError(f"lag={params.lag!r} with k={params.k!r} puts the return sd "
+                             "e^u sqrt(lag) past the float range; lower lag or k")
     low = np.min(sd)
     if not low > 0.0:  # e^u sqrt(lag) underflows at some log-vol node u
         raise ParameterError(f"beta={params.beta!r} puts the return sd e^u sqrt(lag) "
@@ -111,7 +122,6 @@ def pdf(r, params: ReturnDistParams, nodes: int = _NODES,
     covers the saddle point of returns out to lambda ~ 1e6, far beyond where
     the density underflows.
     """
-    params.validate()
     r_arr = np.asarray(r, dtype=float)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
     mean, sd = _density_moments(params, sigma, peak=True)
@@ -122,7 +132,6 @@ def pdf(r, params: ReturnDistParams, nodes: int = _NODES,
 def cdf(r, params: ReturnDistParams, nodes: int = _NODES,
         halfwidth_sds: float = _HALFWIDTH_SDS):
     """Mixture CDF, the same quadrature as pdf."""
-    params.validate()
     r_arr = np.asarray(r, dtype=float)
     sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
     mean, sd = _density_moments(params, sigma)
@@ -134,7 +143,6 @@ def cdf(r, params: ReturnDistParams, nodes: int = _NODES,
 
 def sample_returns(params: ReturnDistParams, n: int, seed: int = 0) -> np.ndarray:
     """Draw n returns: sigma from the lognormal, then the Gaussian return."""
-    params.validate()
     integer(1, n=n)
     rng = substream(seed)
     sigma = np.exp(params.beta + params.sigma_logvol * rng.standard_normal(n))
@@ -169,7 +177,6 @@ def tail_asymptotic(r, params: ReturnDistParams, prefactor: float = 1.0):
     Only valid for lambda > 1; smaller values raise, since the expansion is
     meaningless near the center.
     """
-    params.validate()
     if params.k == 0.0:
         raise ParameterError("tail form degenerates at k = 0 (Gaussian tail)")
     lam = np.asarray(tail_lambda(r, params), dtype=float)

@@ -55,7 +55,8 @@ class ModelParams(LogVolParams):
 
 @dataclass(frozen=True)
 class MarketPath:
-    """A simulated (or ingested) price path with aligned log-volatility."""
+    """A simulated (or ingested) price path with aligned log-volatility. A
+    result: its builder calls validate(), so a test can replace it with bad prices."""
 
     times: np.ndarray
     prices: np.ndarray
@@ -68,13 +69,13 @@ class MarketPath:
             raise ParameterError("times, prices and logvol must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ParameterError("times must be strictly increasing")
-        if not np.all((self.prices > 0) & (self.prices < np.inf)):
+        prices = np.asarray(self.prices)
+        if not np.all((prices > 0) & (prices < np.inf)):
             raise ParameterError("prices must be positive and finite")
 
 
 def logvol_marginal_moments(params: ModelParams) -> tuple[float, float]:
     """Mean and variance of log sigma_t: (beta, k^2 delta^(2H - 2))."""
-    params.validate()
     # not sigma_logvol**2: mean_variance_fit's bits depend on this rounding
     return params.beta, params.k**2 * params.delta ** (2.0 * params.hurst - 2.0)
 
@@ -126,13 +127,6 @@ def _advance_prices(logvol: np.ndarray, eps: np.ndarray, mu: float, dt: float,
     return prices
 
 
-def _check_path_args(params: ModelParams, n_steps: int, dt: float, s0: float,
-                     **counts: int) -> None:
-    params.validate()
-    integer(1, n_steps=n_steps, **counts)
-    positive(dt=dt, s0=s0)
-
-
 def _time_grid(n_steps: int, dt: float) -> np.ndarray:
     """Time stamps i dt; the last, n_steps dt, must be a finite float."""
     if not math.isfinite(float(n_steps) * float(dt)):
@@ -159,7 +153,8 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
     prices and logvol have shape (n_paths, n_steps + 1). Everything is held
     in memory, so keep n_paths * n_steps within budget.
     """
-    _check_path_args(params, n_steps, dt, s0, n_paths=n_paths)
+    integer(1, n_steps=n_steps, n_paths=n_paths)
+    positive(dt=dt, s0=s0)
     if params.coupling == IDENTIFIED_DRIVERS:
         raise ParameterError(
             "identified drivers require the moving-average form; "
@@ -178,6 +173,8 @@ def _kernel(history: int, dt: float, hurst: float) -> np.ndarray:
 
 def calibrated_kprime(params: ModelParams, dt: float, history: int) -> float:
     """Kernel amplitude matching the fGn-form stationary log-vol variance."""
+    positive(dt=dt)
+    integer(1, history=history)
     w = _kernel(history, dt, params.hurst)
     return params.sigma_logvol / np.sqrt(np.sum(w**2) * dt)
 
@@ -229,7 +226,8 @@ def simulate_identified(params: ModelParams, n_steps: int, dt: float,
     model is statistically equivalent to simulate_path up to kernel
     truncation.
     """
-    _check_path_args(params, n_steps, dt, s0, history=history)
+    integer(1, n_steps=n_steps, history=history)
+    positive(dt=dt, s0=s0)
     times = _time_grid(n_steps, dt)
     rng_price = substream(seed, _PRICE) if params.coupling == INDEPENDENT_DRIVERS else None
     logvol, eps = _identified_logvol_eps(
@@ -247,7 +245,8 @@ def identified_return_ensemble(params: ModelParams, n_steps: int, dt: float,
     Paths are generated in fixed-size chunks with per-chunk substreams, so
     the output depends only on (params, n_steps, dt, history, seed, n_paths).
     """
-    _check_path_args(params, n_steps, dt, 1.0, history=history, n_paths=n_paths)
+    integer(1, n_steps=n_steps, history=history, n_paths=n_paths)
+    positive(dt=dt)
     out = np.empty((n_paths, n_steps))
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)

@@ -196,12 +196,12 @@ def test_run_experiment_evolution_reshapes_population():
 
 
 def test_config_validation():
-    for bad in (ExperimentConfig(n_steps=0),
-                ExperimentConfig(unit_investment=0.0),
-                ExperimentConfig(price0=-1.0),
-                ExperimentConfig(evolution=EvolutionParams(period=0))):
+    for bad in (lambda: ExperimentConfig(n_steps=0),
+                lambda: ExperimentConfig(unit_investment=0.0),
+                lambda: ExperimentConfig(price0=-1.0),
+                lambda: ExperimentConfig(evolution=EvolutionParams(period=0))):
         with pytest.raises(ParameterError):
-            bad.validate()
+            bad()
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig(n_steps=100, f_choice="nope"))
 

@@ -230,23 +230,23 @@ def test_run_lob_golden_digest(seed, digest):
 
 
 def test_params_validation():
-    for bad in (LobParams(half_width=0), LobParams(order_size=0.0),
-                LobParams(steps=0), LobParams(slot_size=0.0),
-                LobParams(initial_price=-1.0), LobParams(placement="x"),
-                LobParams(event_probs=(0.3, 0.3, 0.3, 0.3)),
-                LobParams(half_width=2**20 + 1), LobParams(half_width=2.5),
-                LobParams(steps=10.5)):
+    for bad in (dict(half_width=0), dict(order_size=0.0),
+                dict(steps=0), dict(slot_size=0.0),
+                dict(initial_price=-1.0), dict(placement="x"),
+                dict(event_probs=(0.3, 0.3, 0.3, 0.3)),
+                dict(half_width=2**20 + 1), dict(half_width=2.5),
+                dict(steps=10.5)):
         with pytest.raises(ParameterError):
-            bad.validate()
-    LobParams(half_width=2**20).validate()
-    for bad in (LobParams(half_width=2.5), LobParams(steps=10.5)):
+            LobParams(**bad)
+    LobParams(half_width=2**20)
+    for bad in (dict(half_width=2.5), dict(steps=10.5)):
         with pytest.raises(ParameterError):
-            run_lob(bad)
-    for bad in (BookState(asks={99: 1.0}), BookState(pending_buys=-1.0),
-                BookState(asks={0: math.nan}), BookState(bids={0: math.inf}),
-                BookState(pending_buys=math.nan), BookState(pending_sells=math.inf),
-                BookState(slot_size=math.nan), BookState(slot_size=math.inf)):
+            run_lob(LobParams(**bad))
+    for bad in (dict(asks={99: 1.0}), dict(pending_buys=-1.0),
+                dict(asks={0: math.nan}), dict(bids={0: math.inf}),
+                dict(pending_buys=math.nan), dict(pending_sells=math.inf),
+                dict(slot_size=math.nan), dict(slot_size=math.inf)):
         with pytest.raises(ParameterError):
-            bad.validate()
+            BookState(**bad)
     with pytest.raises(ParameterError):
         apply_event(BookState(), 7, None, 1.0)

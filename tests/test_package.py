@@ -1,8 +1,11 @@
 """The package's export table: every public name resolves to the object its
 defining module holds, however it is reached."""
 import ast
+import dataclasses
 import importlib
+import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fracvol
+from fracvol.errors import Checked, ParameterError
 
 
 def _fresh_python(code):
@@ -97,3 +101,46 @@ def _literal_defaults():
 def test_no_default_written_twice():
     twice = {pair: where for pair, where in _literal_defaults().items() if len(where) > 1}
     assert twice == {}
+
+
+# one bad field per class with a validate(); every other field is valid
+_ONE_BAD_FIELD = {
+    "LogVolParams": dict(hurst=1.5),
+    "ModelParams": dict(coupling="other"),
+    "ReturnDistParams": dict(lag=0.0),
+    "MarketPath": dict(times=[0.0, 1.0], prices=[1.0, math.nan], logvol=[0.0, 0.0], seed=0),
+    "OptionInputs": dict(spot=1.0, strike=1.0, rate=0.0, sigma_t=-0.1, tau=1.0),
+    "VolDispersion": dict(alpha=math.nan),
+    "Strategy": dict(entries=(1, 1, 2, 1)),
+    "ImpactParams": dict(alpha_exponent=1.5),
+    "MarketEnv": dict(f_choice="other"),
+    "EvolutionParams": dict(mutation_prob=1.5),
+    "ExperimentConfig": dict(window=4),
+    "LobParams": dict(event_probs=(0.3, 0.3, 0.3, 0.3)),
+    "BookState": dict(asks={99: 1.0}),
+}
+# a result, not a parameter: its builder checks it, so that a test of the checks
+# that read it can still build a corrupted copy
+_CHECKED_BY_BUILDER = {"MarketPath"}
+
+
+def test_parameter_classes_check_when_built():
+    """Every dataclass with a validate() checks itself when it is built, but
+    for the results its builders check."""
+    found = {}
+    for info in pkgutil.iter_modules(fracvol.__path__):
+        module = importlib.import_module(f"fracvol.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__ and hasattr(cls, "validate")):
+                found[cls.__name__] = cls
+    assert sorted(found) == sorted(_ONE_BAD_FIELD)
+    for name, cls in found.items():
+        if name in _CHECKED_BY_BUILDER:
+            assert not issubclass(cls, Checked), name
+            with pytest.raises(ParameterError):
+                cls(**_ONE_BAD_FIELD[name]).validate()
+        else:
+            assert issubclass(cls, Checked), name
+            with pytest.raises(ParameterError):
+                cls(**_ONE_BAD_FIELD[name])

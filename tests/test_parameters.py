@@ -19,9 +19,11 @@ from fracvol.lob import BookState, LobParams
 from fracvol.pricing import (OptionInputs, VolDispersion, m_function,
                              mean_variance_fit, monte_carlo_price, price,
                              smile_surface)
-from fracvol.returns import ReturnDistParams, cdf, pdf, sample_returns
-from fracvol.simulate import (ModelParams, identified_return_ensemble,
-                              path_ensemble, simulate_identified, simulate_path)
+from fracvol.returns import (ReturnDistParams, cdf, central_return, pdf,
+                             return_for_lambda, sample_returns, tail_lambda)
+from fracvol.simulate import (MarketPath, ModelParams, calibrated_kprime,
+                              identified_return_ensemble, path_ensemble,
+                              simulate_identified, simulate_path)
 
 NOT_REAL = [None, "1.0", math.nan, math.inf, -math.inf]
 
@@ -147,6 +149,18 @@ BAD_CALLS = {
     "pdf-logvol-variance": lambda: pdf(0.0, ReturnDistParams(delta=1e-310, hurst=0.001)),
     "ModelParams-k-squared-overflow": lambda: ModelParams(k=1e200).validate(),
     "ReturnDistParams-k-squared-overflow": lambda: ReturnDistParams(k=1e200).validate(),
+    # a parameter object that was never validated gave garbage, not an error
+    "calibrated_kprime-k-nan": lambda: calibrated_kprime(ModelParams(k=math.nan), 1.0, 512),
+    "calibrated_kprime-hurst-5":
+        lambda: calibrated_kprime(ModelParams(hurst=5.0), 1.0, 512),
+    "central_return-mu-nan": lambda: central_return(ReturnDistParams(mu=math.nan)),
+    "tail_lambda-lag-negative": lambda: tail_lambda(0.1, ReturnDistParams(lag=-1.0)),
+    "return_for_lambda-lag-negative":
+        lambda: return_for_lambda(10.0, ReturnDistParams(lag=-1.0)),
+    "MarketPath-list-prices-negative": lambda: MarketPath(
+        times=[0.0, 1.0], prices=[1, -1], logvol=[0.0, 0.0], seed=0).validate(),
+    "calibrated_kprime-dt-nan": lambda: calibrated_kprime(MODEL, math.nan, 512),
+    "calibrated_kprime-history-2.5": lambda: calibrated_kprime(MODEL, 1.0, 2.5),
 }
 
 

@@ -1,4 +1,6 @@
 """Return-distribution quadrature, sampler, and tail behavior."""
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -143,3 +145,32 @@ def test_far_tail_is_an_exact_zero_without_warnings():
     p = ReturnDistParams(beta=-700.0)
     assert pdf(1.0, p) == 0.0 and pdf(1e300, p) == 0.0
     assert cdf(1e300, p) == 1.0 and cdf(-1e300, p) == 0.0
+
+
+@pytest.mark.parametrize("f, k", [(pdf, 30.0), (pdf, 40.0), (pdf, 58.0),
+                                  (cdf, 30.0), (cdf, 40.0), (cdf, 59.0)])
+def test_large_coupling_is_finite_without_warnings(f, k):
+    # sigma^2 overflows at the top log-vol nodes, so their mean is -inf and
+    # they add exactly 0 to the density and 1 to the cdf; the pytest filter
+    # turns any RuntimeWarning into a failure (pdf at k = 59 is the peak
+    # density error above: its lowest node's return sd is subnormal)
+    assert np.all(np.isfinite(f(np.array([0.0, 0.1]), ReturnDistParams(k=k))))
+
+
+@pytest.mark.parametrize("k", [60.0, 100.0])
+def test_top_logvol_node_past_float_range_names_k(k):
+    # e^u overflows at the top node beta + 12 k delta^(H-1) x
+    p = ReturnDistParams(k=k)
+    for f in (pdf, cdf):
+        with pytest.raises(ParameterError, match=rf"^k={k!r} puts the top log-vol node"):
+            f(np.array([0.0, 0.1]), p)
+
+
+@pytest.mark.parametrize("k, lag", [(58.0, 1e20), (40.0, 1e220)])
+def test_return_sd_past_float_range_names_lag_and_k(k, lag):
+    # the top node's e^u is a float, but e^u sqrt(lag) is not
+    p = ReturnDistParams(k=k, lag=lag)
+    for f in (pdf, cdf):
+        with pytest.raises(ParameterError,
+                           match="^" + re.escape(f"lag={lag!r} with k={k!r} puts the return sd")):
+            f(np.array([0.0, 0.1]), p)

@@ -148,10 +148,10 @@ def test_calibrated_kernel_amplitude():
 
 
 def test_param_validation():
-    for bad in (ModelParams(hurst=0.0), ModelParams(delta=-1.0),
-                ModelParams(k=-0.1), ModelParams(coupling="other")):
+    for bad in (lambda: ModelParams(hurst=0.0), lambda: ModelParams(delta=-1.0),
+                lambda: ModelParams(k=-0.1), lambda: ModelParams(coupling="other")):
         with pytest.raises(ParameterError):
-            bad.validate()
+            bad()
     with pytest.raises(ParameterError):
         simulate_path(ModelParams(), 0, 1.0)
     with pytest.raises(ParameterError):
