@@ -13,6 +13,11 @@ its computed eigenvalues go negative only through round-off in the
 autocovariance. Those above a round-off bound derived from n and H are
 clipped to zero; anything lower raises GenerationError.
 
+The n + 1 spectral weights the sampler multiplies its normals by depend only
+on (n, H), so they are computed once per key and kept in a bounded LRU cache
+of _WEIGHT_CACHE entries (read-only arrays of 8(n + 1) bytes each: 8 MiB at
+n = 2^20). A failed embedding is not cached; the next call checks it again.
+
 LogVolParams is the model's log-vol law, log sigma ~ N(beta, (k delta^(H-1))^2)
 over fGn at spacing delta, with the paper's defaults; simulate and returns extend it.
 """
@@ -20,12 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (Checked, GenerationError, ParameterError, finite, integer, nonnegative,
                      positive)
 from .rng import substream
+
+_WEIGHT_CACHE = 8  # (n, H) keys kept; the forward-and-back loop uses 3
 
 
 def check_hurst(hurst: float) -> float:
@@ -138,18 +146,32 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
-def _fgn_circulant(n: int, eigs: np.ndarray, rng: np.random.Generator,
+@lru_cache(maxsize=_WEIGHT_CACHE)
+def _spectral_weights(n: int, hurst: float) -> np.ndarray:
+    """Read-only sqrt(eigs[0]/m), sqrt(eigs[1:n]/(2m)), sqrt(eigs[n]/m), m = 2n:
+    the sd of the real parts at frequencies 0 and n and of each half of the
+    conjugate pairs in between, so that E|v_j|^2 = eigs[j] / m."""
+    eigs = _circulant_eigenvalues(n, hurst)
+    m = 2 * n
+    weights = np.empty(n + 1)
+    weights[0] = np.sqrt(eigs[0] / m)
+    weights[1:n] = np.sqrt(eigs[1:n] / (2.0 * m))
+    weights[n] = np.sqrt(eigs[n] / m)
+    weights.flags.writeable = False
+    return weights
+
+
+def _fgn_circulant(n: int, weights: np.ndarray, rng: np.random.Generator,
                    n_paths: int) -> np.ndarray:
-    """Sample (n_paths, n) unit-spacing fGn given the embedding eigenvalues."""
+    """Sample (n_paths, n) unit-spacing fGn given the spectral weights."""
     m = 2 * n
     z = rng.standard_normal((n_paths, m))
     v = np.empty((n_paths, m), dtype=complex)
     # Hermitian spectral vector: real at frequencies 0 and n, conjugate pairs
-    # elsewhere, with E|v_j|^2 = eigs[j] / m so that fft(v) has covariance gamma.
-    v[:, 0] = np.sqrt(eigs[0] / m) * z[:, 0]
-    v[:, n] = np.sqrt(eigs[n] / m) * z[:, 1]
-    half = np.sqrt(eigs[1:n] / (2.0 * m))
-    v[:, 1:n] = half * (z[:, 2 : n + 1] + 1j * z[:, n + 1 : m])
+    # elsewhere, so that fft(v) has covariance gamma.
+    v[:, 0] = weights[0] * z[:, 0]
+    v[:, n] = weights[n] * z[:, 1]
+    v[:, 1:n] = weights[1:n] * (z[:, 2 : n + 1] + 1j * z[:, n + 1 : m])
     v[:, n + 1 :] = np.conj(v[:, n - 1 : 0 : -1])
     return np.fft.fft(v, axis=1).real[:, :n]
 
@@ -159,7 +181,7 @@ def _sample_unit_fgn(n: int, hurst: float, rng: np.random.Generator,
     if hurst == 1.0:
         # Perfectly correlated noise: one normal repeated along the path.
         return np.repeat(rng.standard_normal((n_paths, 1)), n, axis=1)
-    return _fgn_circulant(n, _circulant_eigenvalues(n, hurst), rng, n_paths)
+    return _fgn_circulant(n, _spectral_weights(n, hurst), rng, n_paths)
 
 
 def generate_fgn(n: int, hurst: float, spacing: float = 1.0,

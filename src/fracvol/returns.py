@@ -33,6 +33,15 @@ class ReturnDistParams(LogVolParams):
     def validate(self) -> None:
         super().validate()
         positive(lag=self.lag)
+        with np.errstate(over="ignore"):  # the overflow is what is checked
+            theta = self.theta
+        try:  # central_return's theta**2, a Python float power, raises past the range
+            square = theta**2
+        except OverflowError:
+            square = np.inf
+        if not square < np.inf:
+            raise ParameterError(f"beta={self.beta!r} puts theta^2 = e^(2 beta) past the "
+                                 "float range; lower beta")
 
     @property
     def theta(self) -> float:

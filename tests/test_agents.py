@@ -39,7 +39,7 @@ def test_strategy_validation():
     with pytest.raises(ParameterError):
         strategy_code(Strategy((2, 0, 0, 0)))
     with pytest.raises(ParameterError):
-        Strategy((1, 1, 1)).validate()
+        Strategy((1, 1, 1))
 
 
 def test_step_weights_are_one_hot():
@@ -73,9 +73,9 @@ def test_market_impact_shape():
     # saturated regime follows the square-root law
     assert market_impact(1e12, imp) == pytest.approx(1e6 / 100.0, rel=0.01)
     with pytest.raises(ParameterError):
-        ImpactParams(lambda0=0.0).validate()
+        ImpactParams(lambda0=0.0)
     with pytest.raises(ParameterError):
-        ImpactParams(alpha_exponent=1.5).validate()
+        ImpactParams(alpha_exponent=1.5)
 
 
 def test_single_agent_step_is_exact():
@@ -142,9 +142,9 @@ def test_evolve_random_selection_and_errors():
     with pytest.raises(ParameterError):
         evolve(build(), EvolutionParams(copiers=5), substream(0), price=1.0)
     with pytest.raises(ParameterError):
-        EvolutionParams(period=0).validate()
+        EvolutionParams(period=0)
     with pytest.raises(ParameterError):
-        EvolutionParams(mutation_prob=1.5).validate()
+        EvolutionParams(mutation_prob=1.5)
 
 
 def test_population_bookkeeping():

@@ -72,6 +72,89 @@ def test_ingest_collects_bad_rows(tmp_path):
     assert err.value.lines[0] == (3, "price=-2.0 not positive")
 
 
+class _HandedOver(Exception):
+    """Raised in place of the row validator: the bulk checks passed the file on."""
+
+
+def _hand_over(raw):
+    raise _HandedOver
+
+
+def _outcome(read):
+    """What read() returns, or the IngestionError it raises."""
+    try:
+        return read()
+    except IngestionError as err:
+        return err
+
+
+# (file text, accepted): the bulk path and the row validator must agree on each
+_INGEST_CASES = {
+    "blank-and-whitespace-lines": ("0,1\n\n   \n\t\n1,2\n\n", True),
+    "crlf": ("0,1\r\n1,2\r\n", True),
+    "form-feed-separator": ("0,1\x0c1,2\n", True),
+    "line-separator-u2028": ("0,1\u20281,2\n", True),
+    "spaces-around-fields": (" 0 , 1 \n1\t,\t2\n", True),
+    "underscore-digits": ("1_0,1\n11,2_5\n", True),
+    "full-width-digits": ("\uff10,\uff11\n1,2\n", True),
+    "negative-zero-time": ("-0.0,1\n1,2\n", True),
+    "one-row": ("5,1e-300\n", True),
+    "one-field": ("0\n1,2\n", False),
+    "three-fields": ("0,1,2\n1,2\n", False),
+    "three-then-one-misaligned": ("1,2,3\n4\n", False),
+    "one-then-three-misaligned": ("1\n2,3,4\n", False),
+    "empty-field": ("0,\n1,2\n", False),
+    "hex": ("0,0x10\n", False),
+    "nan": ("0,1\n1,nan\n", False),
+    "nan-time": ("nan,1\n", False),
+    "inf": ("0,inf\n", False),
+    "infinity-time": ("0,1\nInfinity,2\n", False),
+    "overflowing-1e400": ("0,1e400\n", False),
+    "negative-zero-price": ("0,-0.0\n", False),
+    "zero-price": ("0,1\n1,0\n", False),
+    "repeated-time": ("0,1\n0,2\n", False),
+    "decreasing-time": ("0,1\n2,1\n1,1\n3,1\n", False),
+    "only-blank-rows": ("\n \n", False),
+}
+
+
+@pytest.mark.parametrize("body, accepted", _INGEST_CASES.values(), ids=_INGEST_CASES.keys())
+def test_ingest_bulk_path_agrees_with_row_validator(tmp_path, monkeypatch, body, accepted):
+    f = tmp_path / "p.csv"
+    f.write_text(PRICE_HEADER + "\n" + body, newline="")
+    with open(f) as handle:  # as ingest_prices reads it
+        raw = handle.read().splitlines()
+    expected = _outcome(lambda: fracvol.io._ingest_rows(raw))
+    got = _outcome(lambda: ingest_prices(str(f)))
+    assert isinstance(expected, IngestionError) != accepted
+    monkeypatch.setattr(fracvol.io, "_ingest_rows", _hand_over)
+    if accepted:  # bit for bit, and from the bulk path alone
+        bulk = ingest_prices(str(f))
+        for path in (got, bulk):
+            assert path.times.tobytes() == expected.times.tobytes()
+            assert path.prices.tobytes() == expected.prices.tobytes()
+            assert np.isnan(path.logvol).all() and len(path.logvol) == len(path.times)
+    else:  # the bulk checks refuse it and the validator's error stands unchanged
+        with pytest.raises(_HandedOver):
+            ingest_prices(str(f))
+        assert str(got) == str(expected) and got.lines == expected.lines
+
+
+def test_ingest_bulk_parse_is_float_bit_for_bit(tmp_path, monkeypatch):
+    bits = np.random.default_rng(5).integers(0, 2**63, 4000, dtype=np.uint64)
+    values = np.abs(bits.view(np.float64))
+    values = values[np.isfinite(values) & (values > 0)]
+    spellings = [repr, "{:.17e}".format, "{:.5g}".format, lambda v: f" {v!r}\t"]
+    rows = [f"{i},{spellings[i % 4](float(v))}" for i, v in enumerate(values)]
+    f = tmp_path / "p.csv"
+    f.write_text("\n".join([PRICE_HEADER, *rows]) + "\n")
+    expected = fracvol.io._ingest_rows(f.read_text().splitlines())
+    monkeypatch.setattr(fracvol.io, "_ingest_rows", _hand_over)
+    bulk = ingest_prices(str(f))
+    assert bulk.prices.tobytes() == expected.prices.tobytes()
+    assert bulk.times.tobytes() == expected.times.tobytes()
+
+
 def test_atomic_write_leaves_no_temp(tmp_path):
     f = tmp_path / "a.txt"
     atomic_write(str(f), "one\n")
@@ -510,10 +593,18 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
     (["price", "--alpha-disp", "1e3"], "alpha=1000.0"),
     (["simulate", "--steps", "2000", "--k", "0", "--beta=-400", "--delta", "1e308"],
      "dt=1e+308"),
+    # theta^2 = e^(2 beta): a raw OverflowError from central_return at 700, and
+    # an exp overflow RuntimeWarning before the error line from 709.8
+    (["pdf", "--beta", "700"], "beta=700.0"),
+    (["pdf", "--beta", "709.8"], "beta=709.8"),
+    (["pdf", "--beta", "710"], "beta=710.0"),
+    (["pdf", "--beta", "745"], "beta=745.0"),
 ], ids=["pdf-return-sd-underflow", "pdf-density-peak-overflow",
         "pdf-logvol-peak-overflow",
         "price-kernel-weight-overflow",
-        "simulate-time-stamps-overflow"])
+        "simulate-time-stamps-overflow",
+        "pdf-theta-squared-overflow-700", "pdf-theta-squared-overflow-709.8",
+        "pdf-theta-squared-overflow-710", "pdf-theta-squared-overflow-745"])
 def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,
                                                             name):
     out = tmp_path / "x.csv"

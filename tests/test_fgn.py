@@ -10,6 +10,7 @@ from fracvol.fgn import (FgnSeries, _circulant_eigenvalues, _sample_unit_fgn,
                          fbm_covariance, fbm_from_fgn, fgn_autocovariance,
                          generate_fgn)
 from fracvol.rng import substream
+from fracvol.simulate import ModelParams, path_ensemble, simulate_path
 
 
 def test_autocovariance_matches_fbm_increments():
@@ -101,6 +102,55 @@ def test_embedding_beyond_round_off_is_refused(monkeypatch):
                                                      [1.0, 0.9], 0.0))
     with pytest.raises(GenerationError, match="eigenvalue -0.8 "):
         fgn._circulant_eigenvalues(2, 0.7)
+
+
+def test_cold_and_warm_weight_cache_give_the_same_bytes():
+    def draws():
+        _, prices, logvol = path_ensemble(ModelParams(), 300, 1.0, seed=4, n_paths=3)
+        return (generate_fgn(1001, 0.83, seed=2).values.tobytes(),
+                generate_fgn(64, 0.3, spacing=2.0, seed=9).values.tobytes(),
+                prices.tobytes(), logvol.tobytes())
+    fgn._spectral_weights.cache_clear()
+    cold = draws()
+    assert fgn._spectral_weights.cache_info().currsize == 3
+    assert draws() == cold
+
+
+def test_cached_weights_are_read_only():
+    weights = fgn._spectral_weights(64, 0.7)
+    assert weights.shape == (65,) and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    assert fgn._spectral_weights(64, 0.7) is weights
+
+
+def test_refused_embedding_is_not_cached(monkeypatch):
+    fgn._spectral_weights.cache_clear()
+    monkeypatch.setattr(fgn, "fgn_autocovariance",
+                        lambda lag, hurst: np.select([lag == 0, lag == 1],
+                                                     [1.0, 0.9], 0.0))
+    for _ in range(2):  # the second call checks the embedding again
+        with pytest.raises(GenerationError, match="eigenvalue -0.8 "):
+            fgn._spectral_weights(2, 0.7)
+    assert fgn._spectral_weights.cache_info().currsize == 0
+
+
+def test_weight_cache_is_bounded():
+    size = fgn._spectral_weights.cache_info().maxsize
+    assert size is not None and 3 <= size <= 8  # the 3 keys of one recovery loop
+    fgn._spectral_weights.cache_clear()
+    for n in range(1, size + 4):
+        fgn._spectral_weights(n, 0.7)
+    assert fgn._spectral_weights.cache_info().currsize == size
+
+
+def test_repeated_simulations_compute_the_weights_once():
+    # a machine-independent guard on the cache: 8 seeds share one (n, H)
+    fgn._spectral_weights.cache_clear()
+    for seed in range(8):
+        simulate_path(ModelParams(), 2**12, 1.0, seed=seed)
+    info = fgn._spectral_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
 
 
 def test_fbm_accumulation():

@@ -86,8 +86,8 @@ BAD_CALLS = {
     "generate_fgn-n-4096.0": lambda: generate_fgn(4096.0, 0.7),
     "generate_fgn-spacing-None": lambda: generate_fgn(8, 0.7, spacing=None),
     "fgn_autocovariance-spacing-str": lambda: fgn_autocovariance(1, 0.7, spacing="1"),
-    "ModelParams-mu-None": lambda: ModelParams(mu=None).validate(),
-    "ModelParams-k-str": lambda: ModelParams(k="0.5").validate(),
+    "ModelParams-mu-None": lambda: ModelParams(mu=None),
+    "ModelParams-k-str": lambda: ModelParams(k="0.5"),
     "simulate_path-n_steps-2.5": lambda: simulate_path(MODEL, 2.5, 1.0),
     "simulate_path-dt-None": lambda: simulate_path(MODEL, 10, None),
     "simulate_path-s0-str": lambda: simulate_path(MODEL, 10, 1.0, s0="1"),
@@ -106,8 +106,8 @@ BAD_CALLS = {
     "integrated_logvol_decompose-delta-None":
         lambda: integrated_logvol_decompose(np.ones(10), delta=None),
     "leverage-max_lag-2.5": lambda: leverage(np.ones(50), 2.5),
-    "OptionInputs-spot-None": lambda: OptionInputs(None, 1.0, 0.0, 0.1, 1.0).validate(),
-    "VolDispersion-alpha-None": lambda: VolDispersion(None).validate(),
+    "OptionInputs-spot-None": lambda: OptionInputs(None, 1.0, 0.0, 0.1, 1.0),
+    "VolDispersion-alpha-None": lambda: VolDispersion(None),
     "from_model-horizon-str": lambda: VolDispersion.from_model(MODEL, horizon="5"),
     "mean_variance_fit-tau-None": lambda: mean_variance_fit(MODEL, None),
     "monte_carlo_price-n_paths-1": lambda: monte_carlo_price(OPT, MODEL, n_paths=1),
@@ -116,30 +116,30 @@ BAD_CALLS = {
     "m_function-alpha-None": lambda: m_function(None, 0.5, 0.3),
     "m_function-nodes-16.0": lambda: m_function(0.3, 0.5, 0.3, nodes=16.0),
     "smile_surface-nodes-64.0": lambda: smile_surface(MODEL, 0.01, nodes=64.0),
-    "ReturnDistParams-beta-None": lambda: ReturnDistParams(beta=None).validate(),
-    "ReturnDistParams-mu-None": lambda: ReturnDistParams(mu=None).validate(),
-    "ReturnDistParams-k-str": lambda: ReturnDistParams(k="0.5").validate(),
+    "ReturnDistParams-beta-None": lambda: ReturnDistParams(beta=None),
+    "ReturnDistParams-mu-None": lambda: ReturnDistParams(mu=None),
+    "ReturnDistParams-k-str": lambda: ReturnDistParams(k="0.5"),
     "pdf-nodes-2.5": lambda: pdf(0.0, RDP, nodes=2.5),
     "pdf-halfwidth_sds-0": lambda: pdf(0.0, RDP, halfwidth_sds=0.0),
     "cdf-halfwidth_sds-nan": lambda: cdf(0.0, RDP, halfwidth_sds=math.nan),
     "sample_returns-n-2.5": lambda: sample_returns(RDP, 2.5),
     "strategy_decode-3.7": lambda: strategy_decode(3.7),
     "from_counts-count-2.5": lambda: Population.from_counts([(72, 2.5)]),
-    "ExperimentConfig-n_steps-2.5": lambda: ExperimentConfig(n_steps=2.5).validate(),
-    "ExperimentConfig-window-21.5": lambda: ExperimentConfig(window=21.5).validate(),
-    "ExperimentConfig-window-4": lambda: ExperimentConfig(window=4).validate(),
-    "EvolutionParams-period-2.5": lambda: EvolutionParams(period=2.5).validate(),
-    "EvolutionParams-copiers-None": lambda: EvolutionParams(copiers=None).validate(),
-    "ImpactParams-lambda0-None": lambda: ImpactParams(lambda0=None).validate(),
-    "MarketEnv-noise_sigma-str": lambda: MarketEnv(noise_sigma="0.1").validate(),
-    "LobParams-order_size-None": lambda: LobParams(order_size=None).validate(),
-    "BookState-slot_size-None": lambda: BookState(slot_size=None).validate(),
-    "BookState-half_width-2.5": lambda: BookState(half_width=2.5).validate(),
+    "ExperimentConfig-n_steps-2.5": lambda: ExperimentConfig(n_steps=2.5),
+    "ExperimentConfig-window-21.5": lambda: ExperimentConfig(window=21.5),
+    "ExperimentConfig-window-4": lambda: ExperimentConfig(window=4),
+    "EvolutionParams-period-2.5": lambda: EvolutionParams(period=2.5),
+    "EvolutionParams-copiers-None": lambda: EvolutionParams(copiers=None),
+    "ImpactParams-lambda0-None": lambda: ImpactParams(lambda0=None),
+    "MarketEnv-noise_sigma-str": lambda: MarketEnv(noise_sigma="0.1"),
+    "LobParams-order_size-None": lambda: LobParams(order_size=None),
+    "BookState-slot_size-None": lambda: BookState(slot_size=None),
+    "BookState-half_width-2.5": lambda: BookState(half_width=2.5),
     # k^2 delta^(2H-2) past the float range; a raw OverflowError before
     "ModelParams-logvol-variance":
-        lambda: ModelParams(delta=1e-310, hurst=0.001).validate(),
+        lambda: ModelParams(delta=1e-310, hurst=0.001),
     "ReturnDistParams-logvol-variance":
-        lambda: ReturnDistParams(delta=1e-310, hurst=0.001).validate(),
+        lambda: ReturnDistParams(delta=1e-310, hurst=0.001),
     "simulate_path-logvol-variance":
         lambda: simulate_path(ModelParams(delta=1e-310, hurst=0.001), 10, 1e-310),
     "from_model-logvol-variance":
@@ -147,8 +147,8 @@ BAD_CALLS = {
     "mean_variance_fit-logvol-variance":
         lambda: mean_variance_fit(ModelParams(delta=1e-200, hurst=0.001), 1e-200),
     "pdf-logvol-variance": lambda: pdf(0.0, ReturnDistParams(delta=1e-310, hurst=0.001)),
-    "ModelParams-k-squared-overflow": lambda: ModelParams(k=1e200).validate(),
-    "ReturnDistParams-k-squared-overflow": lambda: ReturnDistParams(k=1e200).validate(),
+    "ModelParams-k-squared-overflow": lambda: ModelParams(k=1e200),
+    "ReturnDistParams-k-squared-overflow": lambda: ReturnDistParams(k=1e200),
     # a parameter object that was never validated gave garbage, not an error
     "calibrated_kprime-k-nan": lambda: calibrated_kprime(ModelParams(k=math.nan), 1.0, 512),
     "calibrated_kprime-hurst-5":

@@ -192,11 +192,11 @@ def test_horizon_grid_rules():
 
 def test_input_validation():
     with pytest.raises(ParameterError):
-        OptionInputs(-1.0, 1.0, 0.0, 0.1, 1.0).validate()
+        OptionInputs(-1.0, 1.0, 0.0, 0.1, 1.0)
     with pytest.raises(ParameterError):
-        OptionInputs(1.0, 1.0, math.inf, 0.1, 1.0).validate()
+        OptionInputs(1.0, 1.0, math.inf, 0.1, 1.0)
     with pytest.raises(ParameterError):
-        VolDispersion(-0.1).validate()
+        VolDispersion(-0.1)
     with pytest.raises(ParameterError):
         VolDispersion.from_model(ModelParams(), horizon=0.0)
     base = VolDispersion.from_model(ModelParams()).alpha

@@ -174,3 +174,17 @@ def test_return_sd_past_float_range_names_lag_and_k(k, lag):
         with pytest.raises(ParameterError,
                            match="^" + re.escape(f"lag={lag!r} with k={k!r} puts the return sd")):
             f(np.array([0.0, 0.1]), p)
+
+
+@pytest.mark.parametrize("beta", [354.9, 400.0, 709.8, 710.0, 1e300])
+def test_central_volatility_squared_past_float_range_names_beta(beta):
+    # central_return squares theta = e^beta; past the float range it raised
+    # a raw OverflowError, or returned -inf once e^beta itself overflowed
+    with pytest.raises(ParameterError, match="^" + re.escape(f"beta={beta!r} puts theta^2")):
+        ReturnDistParams(beta=beta)
+
+
+def test_central_volatility_squared_at_the_float_edge_is_kept():
+    # e^(2 beta) is still a float just below beta = log(max float) / 2
+    p = ReturnDistParams(beta=354.89)
+    assert np.isfinite(central_return(p)) and central_return(p) < -8e307
