@@ -8,12 +8,15 @@ registers and are served by the next arriving limit liquidity. Whenever the
 price moves, the window recenters and resting orders left outside it are
 dropped.
 
-Everything is driven by a single event draw per step, so a run is fully
-determined by its parameters and seed.
+These rules are written once, in _transition, over a book kept as two lists
+across the window: run_lob feeds it a whole run of arrivals, apply_event a
+single one. Everything is driven by a single event draw per step, so a run
+is fully determined by its parameters and seed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -87,97 +90,41 @@ class BookState(Checked):
                 positive(**{f"{name} size at slot {slot}": size})
 
 
-def _move_price(book: BookState, new_slot: int) -> None:
-    # recenter in slot jumps; anything left outside the window is dropped
-    if new_slot == book.price_slot:
-        return
-    book.price_slot = int(new_slot)
-    lo, hi = book.price_slot - book.half_width, book.price_slot + book.half_width
-    book.asks = {s: v for s, v in book.asks.items() if lo <= s <= hi}
-    book.bids = {s: v for s, v in book.bids.items() if lo <= s <= hi}
-
-
-def _closest_slot(side: dict, price_slot: int, prefer_low: bool) -> int:
-    if prefer_low:
-        return min(side, key=lambda s: (abs(s - price_slot), s))
-    return min(side, key=lambda s: (abs(s - price_slot), -s))
-
-
 def apply_event(book: BookState, event: int, slot, order_size: float) -> BookState:
-    """Deterministic transition for one arrival; slot is the placement for
-    limit events and ignored for market orders.
+    """Apply one arrival to the book in place and return it; slot is the
+    placement for limit events and ignored for market orders.
 
-    A limit order first serves the opposing pending register (price moves to
-    the arrival slot when anything matches), and only the remainder rests. A
-    market order takes up to one unit from the closest opposing slot (ties
-    resolve to the price-improving side), moves the price there, and parks
-    any unfilled remainder in its register.
+    The book's dicts become window lists centred on price_slot, run_lob's
+    transition (_transition) runs on this one event, and the lists become
+    dicts again. A limit slot outside the window [price_slot - half_width,
+    price_slot + half_width] is a ParameterError.
     """
-    if event == LIMIT_ASK:
-        size = float(order_size)
-        if book.pending_buys > 0:
-            matched = min(size, book.pending_buys)
-            book.pending_buys -= matched
-            size -= matched
-            _move_price(book, slot)
-        if size > 0:
-            book.asks[slot] = book.asks.get(slot, 0.0) + size
-    elif event == LIMIT_BID:
-        size = float(order_size)
-        if book.pending_sells > 0:
-            matched = min(size, book.pending_sells)
-            book.pending_sells -= matched
-            size -= matched
-            _move_price(book, slot)
-        if size > 0:
-            book.bids[slot] = book.bids.get(slot, 0.0) + size
-    elif event == MARKET_BUY:
-        if not book.asks:
-            book.pending_buys += 1.0
-        else:
-            s = _closest_slot(book.asks, book.price_slot, prefer_low=True)
-            take = min(1.0, book.asks[s])
-            left = book.asks[s] - take
-            if left > 0:
-                book.asks[s] = left
-            else:
-                del book.asks[s]
-            if take < 1.0:
-                book.pending_buys += 1.0 - take
-            _move_price(book, s)
-    elif event == MARKET_SELL:
-        if not book.bids:
-            book.pending_sells += 1.0
-        else:
-            s = _closest_slot(book.bids, book.price_slot, prefer_low=False)
-            take = min(1.0, book.bids[s])
-            left = book.bids[s] - take
-            if left > 0:
-                book.bids[s] = left
-            else:
-                del book.bids[s]
-            if take < 1.0:
-                book.pending_sells += 1.0 - take
-            _move_price(book, s)
-    else:
-        raise ParameterError(f"unknown event {event!r}")
-    return book
-
-
-def _placement_range(book: BookState, placement: str, event: int) -> tuple[int, int]:
     p, w = book.price_slot, book.half_width
-    if placement == TWO_SIDED:
-        return p - w, p + w
-    if event == LIMIT_ASK:
-        return p + 1, p + w
-    return p - w, p - 1
+    lo, hi = p - w, p + w
+    if event not in (LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL):
+        raise ParameterError(f"unknown event {event!r}")
+    if event <= LIMIT_BID:
+        integer(lo, hi, slot=slot)
+    asks = [book.asks.get(s, 0.0) for s in range(lo, hi + 1)]
+    bids = [book.bids.get(s, 0.0) for s in range(lo, hi + 1)]
+    n_asks, n_bids = len(asks) - asks.count(0.0), len(bids) - bids.count(0.0)
+    if n_asks + n_bids != len(book.asks) + len(book.bids):
+        book.validate()  # names the order outside the window or of size 0
+    arrival = (event, slot - lo if event <= LIMIT_BID else 0)
+    asks, bids, _, _, book.pending_buys, book.pending_sells, p = _transition(
+        (asks, bids, n_asks, n_bids, book.pending_buys, book.pending_sells, p),
+        iter([arrival]), 1, float(order_size))
+    book.price_slot, lo = p, p - w
+    book.asks = {lo + i: size for i, size in enumerate(asks) if size}
+    book.bids = {lo + i: size for i, size in enumerate(bids) if size}
+    return book
 
 
 def lob_step(book: BookState, params: LobParams, rng: np.random.Generator,
              trace: list | None = None) -> BookState:
     """Draw one arrival and apply it, mutating the book in place.
 
-    This is the single-event reference that run_lob reproduces bit for bit.
+    A loop of lob_step from an empty book equals run_lob bit for bit.
     Consumes one uniform for the event type and, for limit arrivals, one
     integer for the placement slot. When trace is a list, appends one
     (event, slot, price) tuple: slot is the arrival slot for limit orders
@@ -196,8 +143,11 @@ def lob_step(book: BookState, params: LobParams, rng: np.random.Generator,
         event = MARKET_SELL
     slot = None
     if event in (LIMIT_ASK, LIMIT_BID):
-        lo, hi = _placement_range(book, params.placement, event)
-        slot = lo + int(rng.integers(hi - lo + 1))
+        p, w = book.price_slot, book.half_width
+        if params.placement == TWO_SIDED:
+            slot = p - w + int(rng.integers(2 * w + 1))
+        else:  # asks above the price, bids below
+            slot = (p + 1 if event == LIMIT_ASK else p - w) + int(rng.integers(w))
     apply_event(book, event, slot, params.order_size)
     if trace is not None:
         used = slot if slot is not None else book.price_slot
@@ -218,8 +168,6 @@ def _arrivals(rng: np.random.Generator, event_probs, span: int):
     low word of the product is below 2**32 % span, and draws nothing when
     span is 1. Market events carry offset 0.
     """
-    from itertools import chain, repeat
-
     blocks = map(lambda size: rng.bit_generator.random_raw(size).tolist(),
                  repeat(_RAW_BLOCK))
     word = chain.from_iterable(blocks).__next__
@@ -259,6 +207,99 @@ def _recenter(side: list, shift: int) -> tuple[list, int]:
     return side, len(gone) - gone.count(0.0)
 
 
+def _transition(book: tuple, arrivals, count: int, order_size: float, record=None,
+                trace: list | None = None, x0: float = 0.0, dx: float = 1.0) -> tuple:
+    """The book's one transition: apply `count` (event, window index) pairs
+    from the iterator `arrivals` and return the book after the last one.
+
+    The book is (asks, bids, n_asks, n_bids, pending_buys, pending_sells, p).
+    Each side is a list over the window whose index j holds slot p - w + j,
+    so index w is the price slot p; n_asks and n_bids count the nonzero
+    entries. A limit order first serves the opposing pending register and
+    the price moves to its arrival slot when anything matched; the rest
+    rests there, before the window recenters on it. A market order takes up
+    to one unit from the closest opposing slot (ties resolve to the
+    price-improving side), moves the price there and parks any shortfall in
+    its register. After each event, record (a callable) gets p, and a trace
+    list gets the (event, slot, x0 + dx * p) tuple that lob_step documents.
+    """
+    asks, bids, n_asks, n_bids, pending_buys, pending_sells, p = book
+    w = len(asks) // 2
+    # closest-first scans; ties go to the lower slot for buys, higher for sells
+    buy_scan, sell_scan = [w], [w]
+    for k in range(1, w + 1):
+        buy_scan += (w - k, w + k)
+        sell_scan += (w + k, w - k)
+    for event, j in islice(arrivals, count):
+        move = w
+        if event == LIMIT_ASK:
+            slot = p - w + j
+            size = order_size
+            if pending_buys > 0:
+                matched = min(size, pending_buys)
+                pending_buys -= matched
+                size -= matched
+                move = j
+            if size > 0:
+                if not asks[j]:
+                    n_asks += 1
+                asks[j] += size
+        elif event == LIMIT_BID:
+            slot = p - w + j
+            size = order_size
+            if pending_sells > 0:
+                matched = min(size, pending_sells)
+                pending_sells -= matched
+                size -= matched
+                move = j
+            if size > 0:
+                if not bids[j]:
+                    n_bids += 1
+                bids[j] += size
+        elif event == MARKET_BUY:
+            if n_asks:
+                for move in buy_scan:
+                    if asks[move]:
+                        break
+                size = asks[move]  # take one unit, park the shortfall
+                if size > 1.0:
+                    asks[move] = size - 1.0
+                else:
+                    asks[move] = 0.0
+                    n_asks -= 1
+                    pending_buys += 1.0 - size
+            else:
+                pending_buys += 1.0
+        else:
+            if n_bids:
+                for move in sell_scan:
+                    if bids[move]:
+                        break
+                size = bids[move]  # take one unit, park the shortfall
+                if size > 1.0:
+                    bids[move] = size - 1.0
+                else:
+                    bids[move] = 0.0
+                    n_bids -= 1
+                    pending_sells += 1.0 - size
+            else:
+                pending_sells += 1.0
+        if move != w:
+            shift = move - w
+            p += shift
+            if n_asks:
+                asks, gone = _recenter(asks, shift)
+                n_asks -= gone
+            if n_bids:
+                bids, gone = _recenter(bids, shift)
+                n_bids -= gone
+        if record:
+            record(p)
+            if trace is not None:
+                trace.append((event, slot if event <= LIMIT_BID else p, float(x0 + dx * p)))
+    return asks, bids, n_asks, n_bids, pending_buys, pending_sells, p
+
+
 def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
     """Run the book and emit the recorded price path.
 
@@ -270,107 +311,23 @@ def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
     collects (event, slot, price) tuples for the recorded steps only;
     entry i describes the arrival between path rows i and i+1.
 
-    The result is bit for bit that of a loop of lob_step from an empty
-    BookState: the draws come from _arrivals, and each side of the book is
-    a list over the window whose index j holds slot price_slot - w + j, so
-    index w is the price slot. A limit order that serves a pending register
-    rests at its arrival slot before the window recenters on it, which
-    leaves the same book as apply_event's move-then-rest.
+    The draws come from _arrivals and go through _transition, which
+    apply_event runs too, in two calls (warm-up, then recording), so the
+    result equals a loop of lob_step from an empty BookState bit for bit.
     """
-    from itertools import islice
-
     w = params.half_width
     n = 2 * w + 1
     sides_only = params.placement == SIDES_ONLY
     arrivals = _arrivals(substream(params.seed, _LOB_STREAM), params.event_probs,
                          w if sides_only else n)
-    ask_base = w + 1 if sides_only else 0
-    # closest-first scans; ties go to the lower slot for buys, higher for sells
-    buy_scan, sell_scan = [w], [w]
-    for k in range(1, w + 1):
-        buy_scan += (w - k, w + k)
-        sell_scan += (w + k, w - k)
+    if sides_only:  # an ask's offset counts from the slot above the price
+        arrivals = ((e, j + w + 1 if e == LIMIT_ASK else j) for e, j in arrivals)
     order_size = float(params.order_size)
     x0, dx = params.initial_price, params.slot_size
-    asks, bids = [0.0] * n, [0.0] * n
-    n_asks = n_bids = 0
-    pending_buys = pending_sells = 0.0
-    p = 0
-    slots = []
-    record = slots.append
-    tracing = trace is not None
-    for count, recording in ((10 * n, False), (params.steps, True)):
-        if recording:
-            record(p)
-        for event, j in islice(arrivals, count):
-            move = w
-            if event == LIMIT_ASK:
-                j += ask_base
-                slot = p - w + j
-                size = order_size
-                if pending_buys > 0:
-                    matched = min(size, pending_buys)
-                    pending_buys -= matched
-                    size -= matched
-                    move = j
-                if size > 0:
-                    if not asks[j]:
-                        n_asks += 1
-                    asks[j] += size
-            elif event == LIMIT_BID:
-                slot = p - w + j
-                size = order_size
-                if pending_sells > 0:
-                    matched = min(size, pending_sells)
-                    pending_sells -= matched
-                    size -= matched
-                    move = j
-                if size > 0:
-                    if not bids[j]:
-                        n_bids += 1
-                    bids[j] += size
-            elif event == MARKET_BUY:
-                if n_asks:
-                    for move in buy_scan:
-                        if asks[move]:
-                            break
-                    size = asks[move]  # take one unit, park the shortfall
-                    if size > 1.0:
-                        asks[move] = size - 1.0
-                    else:
-                        asks[move] = 0.0
-                        n_asks -= 1
-                        pending_buys += 1.0 - size
-                else:
-                    pending_buys += 1.0
-            else:
-                if n_bids:
-                    for move in sell_scan:
-                        if bids[move]:
-                            break
-                    size = bids[move]  # take one unit, park the shortfall
-                    if size > 1.0:
-                        bids[move] = size - 1.0
-                    else:
-                        bids[move] = 0.0
-                        n_bids -= 1
-                        pending_sells += 1.0 - size
-                else:
-                    pending_sells += 1.0
-            if move != w:
-                shift = move - w
-                p += shift
-                if n_asks:
-                    asks, gone = _recenter(asks, shift)
-                    n_asks -= gone
-                if n_bids:
-                    bids, gone = _recenter(bids, shift)
-                    n_bids -= gone
-            if recording:
-                record(p)
-                if tracing:
-                    trace.append((event, slot if event <= LIMIT_BID else p,
-                                  float(x0 + dx * p)))
+    book = _transition(([0.0] * n, [0.0] * n, 0, 0, 0.0, 0.0, 0), arrivals, 10 * n,
+                       order_size)
+    slots = [book[-1]]
+    _transition(book, arrivals, params.steps, order_size, slots.append, trace, x0, dx)
     prices = x0 + dx * np.array(slots, dtype=np.int64)
     below = np.flatnonzero(prices <= 0)
     if below.size:

@@ -275,6 +275,7 @@ def smile_surface(model: ModelParams, sigma_t: float,
     for the price, the implied vols and Black-Scholes; every value equals
     the scalar `price`, `implied_vol` and `black_scholes` at that point.
     """
+    positive(spot=spot)
     disp = VolDispersion(alpha) if alpha is not None else VolDispersion.from_model(model)
     mgrid = np.linspace(0.5, 1.5, 21) if moneyness is None else np.asarray(moneyness, float)
     tgrid = np.linspace(5.0, 100.0, 20) if taus is None else np.asarray(taus, float)
@@ -282,11 +283,16 @@ def smile_surface(model: ModelParams, sigma_t: float,
         raise ParameterError("moneyness and taus must be nonempty 1-d grids")
     if np.any(mgrid <= 0) or np.any(tgrid <= 0):
         raise ParameterError("moneyness and taus must be positive")
-    for m in (mgrid.min(), mgrid.max()):  # the strike spot/m is monotone in m
-        OptionInputs(spot, spot / m, rate, sigma_t, tgrid.max())  # built to be checked
+    with np.errstate(over="ignore"):  # the overflow is what is checked
+        strikes = spot / mgrid
+    if np.isinf(strikes).any():
+        raise ParameterError(f"spot={spot!r} over moneyness={float(mgrid.min())!r} puts the "
+                             "strike spot/moneyness past the float range; lower spot")
+    for strike in (strikes.min(), strikes.max()):
+        OptionInputs(spot, strike, rate, sigma_t, tgrid.max())  # built to be checked
 
     shape = (mgrid.size, tgrid.size)
-    terms = _terms(spot, np.repeat(spot / mgrid, shape[1]).tolist(), rate,
+    terms = _terms(spot, np.repeat(strikes, shape[1]).tolist(), rate,
                    np.tile(tgrid, shape[0]).tolist())
     bs = _bs(spot, *terms, sigma_t)
     value = bs if disp.alpha == 0.0 else _mixture(disp.alpha, spot, *terms, sigma_t, nodes)

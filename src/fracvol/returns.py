@@ -154,8 +154,12 @@ def sample_returns(params: ReturnDistParams, n: int, seed: int = 0) -> np.ndarra
     """Draw n returns: sigma from the lognormal, then the Gaussian return."""
     integer(1, n=n)
     rng = substream(seed)
-    sigma = np.exp(params.beta + params.sigma_logvol * rng.standard_normal(n))
-    mean, sd = _conditional_moments(params, sigma)
+    with np.errstate(over="ignore"):  # the overflow is what is checked
+        sigma = np.exp(params.beta + params.sigma_logvol * rng.standard_normal(n))
+        mean, sd = _conditional_moments(params, sigma)
+    if not np.isfinite(mean).all():  # sigma^2 past the float range at some draw
+        raise ParameterError(f"beta={params.beta!r} with k={params.k!r} draws a sigma^2 = "
+                             "e^(2u) past the float range; lower beta or k")
     return mean + sd * rng.standard_normal(n)
 
 

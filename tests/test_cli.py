@@ -599,12 +599,16 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
     (["pdf", "--beta", "709.8"], "beta=709.8"),
     (["pdf", "--beta", "710"], "beta=710.0"),
     (["pdf", "--beta", "745"], "beta=745.0"),
+    # spot / moneyness warned with an overflow, then named strike
+    (["smile", "--spot=1.7e308"], "spot=1.7e+308 over moneyness=0.5"),
+    (["smile", "--spot=-1.7e308"], "spot must be positive and finite, got -1.7e+308"),
 ], ids=["pdf-return-sd-underflow", "pdf-density-peak-overflow",
         "pdf-logvol-peak-overflow",
         "price-kernel-weight-overflow",
         "simulate-time-stamps-overflow",
         "pdf-theta-squared-overflow-700", "pdf-theta-squared-overflow-709.8",
-        "pdf-theta-squared-overflow-710", "pdf-theta-squared-overflow-745"])
+        "pdf-theta-squared-overflow-710", "pdf-theta-squared-overflow-745",
+        "smile-strike-overflow", "smile-spot-negative-past-range"])
 def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,
                                                             name):
     out = tmp_path / "x.csv"

@@ -68,16 +68,17 @@ def test_price_move_evicts_stale_orders():
 
 
 def test_exhaustive_small_states_match_reference():
-    sizes = [None, 0.5, 2.0]
-    slots = [-2, 0, 2]
+    # slots at the window's edges, so a price move evicts resting orders
+    sizes = [None, 0.5, 1.0, 2.0]
+    slots = [-4, -2, 0, 2, 4]
     events = [(MARKET_BUY, None), (MARKET_SELL, None)]
-    events += [(e, s) for e in (LIMIT_ASK, LIMIT_BID) for s in (-2, 0, 2)]
+    events += [(e, s) for e in (LIMIT_ASK, LIMIT_BID) for s in slots]
     checked = 0
     for a_slot, a_sz, b_slot, b_sz in itertools.product(slots, sizes,
                                                         slots, sizes):
         asks = {a_slot: a_sz} if a_sz else {}
         bids = {b_slot: b_sz} if b_sz else {}
-        for pb, ps in itertools.product((0.0, 0.7), repeat=2):
+        for pb, ps in itertools.product((0.0, 0.7, 1.3), repeat=2):
             # pendings coexist only with an empty opposite side
             if (pb > 0 and asks) or (ps > 0 and bids):
                 continue
@@ -89,7 +90,7 @@ def test_exhaustive_small_states_match_reference():
                 apply_event(book, event, slot, 1.3)
                 assert book_as_dict(book) == ref
                 checked += 1
-    assert checked > 1000
+    assert checked == 10800
 
 
 def test_book_invariants_hold_under_stepping():
@@ -248,5 +249,7 @@ def test_params_validation():
                 dict(slot_size=math.nan), dict(slot_size=math.inf)):
         with pytest.raises(ParameterError):
             BookState(**bad)
-    with pytest.raises(ParameterError):
-        apply_event(BookState(), 7, None, 1.0)
+    for event, slot, match in ((7, None, "unknown event 7"),
+                               (LIMIT_ASK, 50, r"slot must be an integer in \[-2, 2\], got 50")):
+        with pytest.raises(ParameterError, match=match):
+            apply_event(BookState(half_width=2), event, slot, 1.0)

@@ -176,6 +176,16 @@ def test_return_sd_past_float_range_names_lag_and_k(k, lag):
             f(np.array([0.0, 0.1]), p)
 
 
+@pytest.mark.parametrize("beta, k", [(354.0, 0.59), (350.0, 3.0)])
+def test_sampled_sigma_squared_past_float_range_names_beta_and_k(beta, k):
+    # theta^2 = e^(2 beta) is a float, but a drawn sigma^2 = e^(2u) is not;
+    # this warned and returned -inf draws
+    p = ReturnDistParams(beta=beta, k=k)
+    with pytest.raises(ParameterError,
+                       match="^" + re.escape(f"beta={beta!r} with k={k!r} draws a sigma^2")):
+        sample_returns(p, 1000)
+
+
 @pytest.mark.parametrize("beta", [354.9, 400.0, 709.8, 710.0, 1e300])
 def test_central_volatility_squared_past_float_range_names_beta(beta):
     # central_return squares theta = e^beta; past the float range it raised
