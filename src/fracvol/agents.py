@@ -232,29 +232,35 @@ def _advance(env: MarketEnv, agents: Population, rng: np.random.Generator,
     lam = (env.impact.lambda0, env.impact.lambda1, env.impact.alpha_exponent)
     s, cash, stock, buf = agents.strategies, agents.cash, agents.stock, np.empty(len(agents))
     rows = unit_investment * np.ascontiguousarray(s.T, dtype=float)
-    moves = [_impact(float(row.sum()), *lam) for row in rows]
     one_hot = env.f_choice == STEP_F
     z, z_prev, xi, zs = env.z, env.z_prev, env.xi, []
-    for eta, dxi in zip(noise, walk):
-        if one_hot:
-            k = (0 if xi - z >= 0.0 else 2) + (0 if z - z_prev >= 0.0 else 1)
-            orders, move = rows[k], moves[k]
-        else:
-            orders = unit_investment * (s @ info_vector(xi - z, z - z_prev, env.f_choice,
-                                                        env.beta_f))
-            move = _impact(float(orders.sum()), *lam)
-        z_prev, z = z, z + move + eta
-        xi += dxi
-        try:
-            price = math.exp(z)
-        except OverflowError:
-            break
-        if price == 0.0:
-            break
-        cash -= orders
-        stock += np.divide(orders, price, out=buf)
-        zs.append(z)
+    with np.errstate(over="ignore", invalid="ignore"):  # the books are checked below
+        moves = [_impact(float(row.sum()), *lam) for row in rows]
+        for eta, dxi in zip(noise, walk):
+            if one_hot:
+                k = (0 if xi - z >= 0.0 else 2) + (0 if z - z_prev >= 0.0 else 1)
+                orders, move = rows[k], moves[k]
+            else:
+                orders = unit_investment * (s @ info_vector(xi - z, z - z_prev, env.f_choice,
+                                                            env.beta_f))
+                move = _impact(float(orders.sum()), *lam)
+            z_prev, z = z, z + move + eta
+            xi += dxi
+            try:
+                price = math.exp(z)
+            except OverflowError:
+                break
+            if price == 0.0:
+                break
+            cash -= orders
+            stock += np.divide(orders, price, out=buf)
+            zs.append(z)
     env.z, env.z_prev, env.xi = z, z_prev, xi
+    if not (np.isfinite(cash).all() and np.isfinite(stock).all()):
+        raise ParameterError(
+            f"orders of unit_investment={unit_investment!r} by log price {z!r} put the "
+            "agents' cash or stock past the float range; raise price0 or lower "
+            "unit_investment")
     return zs
 
 

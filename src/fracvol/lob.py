@@ -12,11 +12,19 @@ These rules are written once, in _transition, over a book kept as two lists
 across the window: run_lob feeds it a whole run of arrivals, apply_event a
 single one. Everything is driven by a single event draw per step, so a run
 is fully determined by its parameters and seed.
+
+run_lob's arrivals are lob_step's own draws, replayed by _arrivals from raw
+Philox words in numpy blocks. Each raw word is in one of three states: an
+event word, an event word while an accepted spare half waits, or a fresh
+word drawn for a placement offset. A scan of composed transition tables
+settles the states of a whole block at once. A limit event whose offset
+word lies past the block's end, or a spare that outlives it, carries into
+the next block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, product, starmap
 
 import numpy as np
 
@@ -35,8 +43,23 @@ SIDES_ONLY = "sides_only"
 # keeps every placement span within numpy's 32-bit bounded-integer path,
 # which _arrivals replays; warm-up alone is 2*10**7 arrivals at this width
 _MAX_HALF_WIDTH = 2 ** 20
-_RAW_BLOCK = 1 << 12  # raw Philox words per numpy call; small keeps peak RSS flat
+_RAW_BLOCK = 1 << 14  # raw Philox words per numpy call; small keeps peak RSS flat
 _MASK32 = 0xFFFFFFFF
+
+# The states of a raw word in _arrivals: an event word with no usable spare
+# half, an event word with an accepted spare half, a fresh offset word. A
+# transition f between them is coded f(_EVENT)*9 + f(_SPARE)*3 + f(_FRESH):
+# a word's code is _ON_LIMIT or _ON_MARKET by its event class, plus the
+# f(_FRESH) that its own halves decide.
+_EVENT, _SPARE, _FRESH = 0, 1, 2
+_ON_LIMIT = _FRESH * 9 + _EVENT * 3
+_ON_MARKET = _EVENT * 9 + _SPARE * 3
+_IDENTITY = _EVENT * 9 + _SPARE * 3 + _FRESH
+_TABLES = np.array(list(product(range(3), repeat=3)))  # row f holds f(0), f(1), f(2)
+_APPLY = _TABLES.ravel()  # [3 f + s] is f(s)
+_APPLY_LIST = _APPLY.tolist()
+_COMPOSE = (_TABLES[:, _TABLES] @ [9, 3, 1]).ravel()  # [27 g + f] is g after f
+_SCAN = 16  # words per row of the state scan; _RAW_BLOCK is a multiple
 
 
 @dataclass(frozen=True)
@@ -156,55 +179,102 @@ def lob_step(book: BookState, params: LobParams, rng: np.random.Generator,
     return book
 
 
-def _arrivals(rng: np.random.Generator, event_probs, span: int):
-    """Yield (event, offset) pairs: the draws of successive lob_step calls.
+def _word_states(codes: np.ndarray, state: int) -> tuple[np.ndarray, int]:
+    """The state before each word, entering in `state`, and the state after
+    the last word. codes holds each word's transition as a function code
+    f(0)*9 + f(1)*3 + f(2). A blocked scan (Blelloch 1990) composes the
+    tables of _SCAN words per row across all rows at once, then runs the
+    rows' totals in order."""
+    # widened before the multiply: 27 * 26 overflows the int8 codes
+    rows = 27 * codes.reshape(-1, _SCAN).astype(np.intp)
+    prefix = [np.full(len(rows), _IDENTITY)]
+    for j in range(_SCAN):
+        prefix.append(_COMPOSE[rows[:, j] + prefix[-1]])
+    starts = list(accumulate(prefix.pop().tolist(),
+                             lambda s, f: _APPLY_LIST[3 * f + s], initial=state))
+    end = starts.pop()
+    return _APPLY[3 * np.stack(prefix, axis=1) + np.array(starts)[:, None]].ravel(), end
+
+
+def _arrivals(rng: np.random.Generator, event_probs, span: int, ask_base: int = 0):
+    """Yield the draws of successive lob_step calls in blocks: per block of
+    _RAW_BLOCK raw words, an (events, offsets) pair of lists; a limit ask's
+    offset comes with ask_base added, a market event's is 0.
 
     lob_step draws rng.random() for the event and, for a limit event,
     rng.integers(span) for the placement offset. Neither depends on the
-    book, so the stream is replayed here from raw 64-bit Philox words, read
-    in blocks: random() is (word >> 11) * 2**-53, and integers(span) is
-    numpy's 32-bit Lemire draw (Lemire 2019), which takes the low half of a
-    fresh word and keeps the high half for the next call, redraws while the
-    low word of the product is below 2**32 % span, and draws nothing when
-    span is 1. Market events carry offset 0.
+    book, so the stream is replayed here from raw 64-bit Philox words:
+    random() is (word >> 11) * 2**-53, and integers(span) is numpy's 32-bit
+    Lemire draw (Lemire 2019), which takes the low half of a fresh word and
+    keeps the high half as a spare for the next call, redraws while the low
+    word of the product is below 2**32 % span, and draws nothing when span
+    is 1. A rejected spare is spent without effect, so it counts as none.
+
+    numpy decodes every word of a block three ways at once (event class,
+    and the offset and acceptance of both halves); which of them applies
+    follows from the word's state: an event word with no spare (_EVENT), an
+    event word with an accepted spare (_SPARE), or a fresh offset word
+    (_FRESH). _word_states settles the states of a whole block. A block that
+    ends in _FRESH holds back its last limit event until the next block
+    draws its offset; one that ends in _SPARE hands the spare's offset on.
     """
-    blocks = map(lambda size: rng.bit_generator.random_raw(size).tolist(),
-                 repeat(_RAW_BLOCK))
-    word = chain.from_iterable(blocks).__next__
     pa, pb, pm, _ = event_probs
     c_ask, c_bid, c_buy = pa, pa + pb, pa + pb + pm
     reject_below = (1 << 32) % span
-    spare = None  # high half of the last word split by integers()
+    # the pending limit event in _FRESH, the spare's offset in _SPARE
+    state, carry = _EVENT, 0
     while True:
-        u = (word() >> 11) * 2.0 ** -53
-        if u >= c_bid:
-            yield (MARKET_BUY if u < c_buy else MARKET_SELL), 0
-            continue
-        offset = 0
-        if span > 1:
-            while True:
-                if spare is None:
-                    w64 = word()
-                    low, spare = w64 & _MASK32, w64 >> 32
-                else:
-                    low, spare = spare, None
-                m = low * span
-                if m & _MASK32 >= reject_below:
-                    break
-            offset = m >> 32
-        yield (LIMIT_ASK if u < c_ask else LIMIT_BID), offset
+        raw = rng.bit_generator.random_raw(_RAW_BLOCK)
+        u = (raw >> 11) * 2.0 ** -53
+        event = sum((u >= c).view(np.int8) for c in (c_ask, c_bid, c_buy))
+        low, high = (raw & _MASK32) * span, (raw >> 32) * span
+        low_ok, high_ok = (low & _MASK32) >= reject_below, (high & _MASK32) >= reject_below
+        limit = event <= LIMIT_BID if span > 1 else np.zeros(raw.size, bool)
+        both, neither = low_ok & high_ok, ~(low_ok | high_ok)
+        # a fresh word goes to _SPARE, _EVENT (one half accepted) or _FRESH
+        words, end = _word_states(_ON_MARKET + (_ON_LIMIT - _ON_MARKET) * limit.view(np.int8)
+                                  + _SPARE * both.view(np.int8)
+                                  + _FRESH * neither.view(np.int8), state)
+        fresh = words == _FRESH
+        done = np.flatnonzero(fresh & ~neither)  # fresh words that draw an offset
+        drawn = np.where(low_ok[done], low[done], high[done]) >> 32
+        spares = high[fresh & both] >> 32
+        waits = np.flatnonzero(limit & (words == _EVENT))  # for the next drawn offset
+        takes = np.flatnonzero(limit & (words == _SPARE))  # the last spare's offset
+        offset = np.zeros(raw.size, np.uint64)
+        head = state == _FRESH and drawn.size > 0
+        if head:
+            head_event, head_offset, drawn = carry, drawn[0], drawn[1:]
+        offset[waits[:drawn.size]] = drawn[:waits.size]
+        if state == _SPARE:
+            spares = np.concatenate([np.array([carry], np.uint64), spares])
+        offset[takes] = spares[:takes.size]
+        keep = ~fresh
+        if waits.size > drawn.size:  # the block ends before this one's offset
+            keep[waits[-1]] = False
+            carry = int(event[waits[-1]])
+        elif end == _SPARE:
+            carry = int(spares[-1])
+        state = end
+        events, offsets = event[keep], offset[keep]
+        if head:
+            events = np.concatenate([[head_event], events])
+            offsets = np.concatenate([[head_offset], offsets])
+        yield events.tolist(), (offsets + np.uint64(ask_base) * (events == LIMIT_ASK)).tolist()
 
 
-def _recenter(side: list, shift: int) -> tuple[list, int]:
-    """Recenter a window list on the price `shift` slots away; return the
-    new list and the number of resting orders that fell out of it."""
+def _recenter(side: list, shift: int, zeros: list) -> int:
+    """Recenter a window list in place on the price `shift` slots away,
+    filling from `zeros`; return the number of resting orders that fell out."""
     if shift > 0:
         gone = side[:shift]
-        side = side[shift:] + [0.0] * shift
+        del side[:shift]
+        side += zeros[:shift]
     else:
         gone = side[shift:]
-        side = [0.0] * -shift + side[:shift]
-    return side, len(gone) - gone.count(0.0)
+        del side[shift:]
+        side[:0] = zeros[:-shift]
+    return len(gone) - gone.count(0.0)
 
 
 def _transition(book: tuple, arrivals, count: int, order_size: float, record=None,
@@ -225,6 +295,7 @@ def _transition(book: tuple, arrivals, count: int, order_size: float, record=Non
     """
     asks, bids, n_asks, n_bids, pending_buys, pending_sells, p = book
     w = len(asks) // 2
+    zeros = [0.0] * w
     # closest-first scans; ties go to the lower slot for buys, higher for sells
     buy_scan, sell_scan = [w], [w]
     for k in range(1, w + 1):
@@ -288,11 +359,9 @@ def _transition(book: tuple, arrivals, count: int, order_size: float, record=Non
             shift = move - w
             p += shift
             if n_asks:
-                asks, gone = _recenter(asks, shift)
-                n_asks -= gone
+                n_asks -= _recenter(asks, shift, zeros)
             if n_bids:
-                bids, gone = _recenter(bids, shift)
-                n_bids -= gone
+                n_bids -= _recenter(bids, shift, zeros)
         if record:
             record(p)
             if trace is not None:
@@ -317,11 +386,10 @@ def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
     """
     w = params.half_width
     n = 2 * w + 1
-    sides_only = params.placement == SIDES_ONLY
-    arrivals = _arrivals(substream(params.seed, _LOB_STREAM), params.event_probs,
-                         w if sides_only else n)
-    if sides_only:  # an ask's offset counts from the slot above the price
-        arrivals = ((e, j + w + 1 if e == LIMIT_ASK else j) for e, j in arrivals)
+    # sides only: asks count from the slot above the price, bids from p - w
+    span, ask_base = (w, w + 1) if params.placement == SIDES_ONLY else (n, 0)
+    arrivals = chain.from_iterable(starmap(zip, _arrivals(
+        substream(params.seed, _LOB_STREAM), params.event_probs, span, ask_base)))
     order_size = float(params.order_size)
     x0, dx = params.initial_price, params.slot_size
     book = _transition(([0.0] * n, [0.0] * n, 0, 0, 0.0, 0.0, 0), arrivals, 10 * n,

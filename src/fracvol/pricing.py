@@ -82,22 +82,47 @@ def _terms(spot: float, strike, rate: float, tau) -> tuple[np.ndarray, ...]:
     """(drift, sqrt(tau), K e^(-r tau)) per (strike, tau), where a = drift/sigma
     and b = sigma sqrt(tau)/2; math per point, so grid and scalar agree."""
     root = [math.sqrt(t) for t in tau]
-    try:  # log(S/K) and e^(-r tau) raise past the float range
-        drift = [math.log(spot / k) / r + rate * r for k, r in zip(strike, root)]
+    ratio = [spot / k for k in strike]
+    outside = [k for k, m in zip(strike, ratio) if not 0.0 < m < math.inf]
+    if outside:
+        raise ParameterError(f"S/K leaves the float range at spot={spot!r}, "
+                             f"strike={outside[0]!r}; bring spot and strike closer")
+    try:  # e^(-r tau) raises past the float range; r sqrt(tau) and K e^(-r tau) may be inf
+        drift = [math.log(m) / r + rate * r for m, r in zip(ratio, root)]
         discounted = [k * math.exp(-rate * t) for k, t in zip(strike, tau)]
-    except (OverflowError, ValueError):
-        raise ParameterError(f"S/K or e^(-r tau) overflows at rate={rate!r}") from None
-    return np.array([drift, root, discounted])
+        terms = np.array([drift, root, discounted])
+        if not np.isfinite(terms).all():
+            raise OverflowError
+    except OverflowError:
+        raise ParameterError(f"rate sqrt(tau) or K e^(-rate tau) leaves the float range "
+                             f"at rate={rate!r}") from None
+    return terms
 
 
 def _contract(opt: OptionInputs) -> tuple[np.ndarray, ...]:
     return _terms(opt.spot, [opt.strike], opt.rate, [opt.tau])
 
 
-def _bs(spot, drift, root, discounted, sigma):
+def _ab(drift, root, sigma):
+    """The Black-Scholes arguments a = drift/sigma and b = sigma sqrt(tau)/2."""
+    with np.errstate(over="ignore"):  # the overflow is what is checked
+        a, b = drift / sigma, 0.5 * sigma * root
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError(
+            f"a = drift/sigma or b = sigma sqrt(tau)/2 leaves the float range at "
+            f"sigma={sigma!r}, where drift = log(S/K)/sqrt(tau) + rate sqrt(tau) "
+            f"reaches {float(np.abs(drift).max())!r}; bring rate or sigma into range")
+    return a, b
+
+
+def _call(spot, discounted, a, b):
     """Black-Scholes call S Phi(a+b) - K e^(-r tau) Phi(a-b), elementwise."""
-    a, b = drift / sigma, 0.5 * sigma * root
     return spot * ndtr(a + b) - discounted * ndtr(a - b)
+
+
+def _bs(spot, drift, root, discounted, sigma):
+    """_call at volatility sigma, its arguments checked by _ab."""
+    return _call(spot, discounted, *_ab(drift, root, sigma))
 
 
 def _gauss_exp(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -194,7 +219,7 @@ def m_function(alpha: float, a: float, b: float, nodes: int = _NODES) -> float:
 def _mixture(alpha, spot, drift, root, discounted, sigma, nodes):
     """Calls under dispersion alpha > 0: S (a M(a,b) + b M(b,a))
     - K e^(-r tau) (a M(a,-b) - b M(-b,a)), one kernel pass for all legs."""
-    a, b = drift / sigma, 0.5 * sigma * root
+    a, b = _ab(drift, root, sigma)
     first = np.concatenate([a, b, a, -b])  # each leg's coefficient is its first argument
     legs = first * _m_rows(alpha, first, np.concatenate([b, a, -b, a]), nodes)
     legs = legs.reshape(4, -1)
@@ -220,7 +245,8 @@ def _implied_vols(target, spot, drift, root, discounted, label) -> np.ndarray:
     hi = np.where(edge, _IV_LO, _IV_HI)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        diff = _bs(spot, drift, root, discounted, mid) - target
+        # unchecked: mid lies inside the bracket whose ends passed _bs's check
+        diff = _call(spot, discounted, drift / mid, 0.5 * mid * root) - target
         stop = (np.abs(diff) <= _IV_TOL) | (hi - lo <= 1e-15)
         if stop.all():
             return mid
@@ -281,8 +307,12 @@ def smile_surface(model: ModelParams, sigma_t: float,
     tgrid = np.linspace(5.0, 100.0, 20) if taus is None else np.asarray(taus, float)
     if mgrid.ndim != 1 or tgrid.ndim != 1 or mgrid.size == 0 or tgrid.size == 0:
         raise ParameterError("moneyness and taus must be nonempty 1-d grids")
-    if np.any(mgrid <= 0) or np.any(tgrid <= 0):
-        raise ParameterError("moneyness and taus must be positive")
+    bad = ~(np.isfinite(mgrid) & (mgrid > 0))
+    if bad.any():
+        raise ParameterError(
+            f"moneyness must be positive and finite, got {float(mgrid[bad.argmax()])!r}")
+    if np.any(tgrid <= 0):
+        raise ParameterError("taus must be positive")
     with np.errstate(over="ignore"):  # the overflow is what is checked
         strikes = spot / mgrid
     if np.isinf(strikes).any():

@@ -586,31 +586,51 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
 
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["pdf", "--beta=-800"], "beta=-800.0"),
-    (["pdf", "--beta=-744", "--k", "0"], "beta=-744.0"),
-    (["pdf", "--k", "1e-320"], "k=1e-320"),
-    (["price", "--alpha-disp", "1e3"], "alpha=1000.0"),
+@pytest.mark.parametrize("argv, name, config", [
+    (["pdf", "--beta=-800"], "beta=-800.0", None),
+    (["pdf", "--beta=-744", "--k", "0"], "beta=-744.0", None),
+    (["pdf", "--k", "1e-320"], "k=1e-320", None),
+    (["price", "--alpha-disp", "1e3"], "alpha=1000.0", None),
     (["simulate", "--steps", "2000", "--k", "0", "--beta=-400", "--delta", "1e308"],
-     "dt=1e+308"),
+     "dt=1e+308", None),
     # theta^2 = e^(2 beta): a raw OverflowError from central_return at 700, and
     # an exp overflow RuntimeWarning before the error line from 709.8
-    (["pdf", "--beta", "700"], "beta=700.0"),
-    (["pdf", "--beta", "709.8"], "beta=709.8"),
-    (["pdf", "--beta", "710"], "beta=710.0"),
-    (["pdf", "--beta", "745"], "beta=745.0"),
+    (["pdf", "--beta", "700"], "beta=700.0", None),
+    (["pdf", "--beta", "709.8"], "beta=709.8", None),
+    (["pdf", "--beta", "710"], "beta=710.0", None),
+    (["pdf", "--beta", "745"], "beta=745.0", None),
     # spot / moneyness warned with an overflow, then named strike
-    (["smile", "--spot=1.7e308"], "spot=1.7e+308 over moneyness=0.5"),
-    (["smile", "--spot=-1.7e308"], "spot must be positive and finite, got -1.7e+308"),
+    (["smile", "--spot=1.7e308"], "spot=1.7e+308 over moneyness=0.5", None),
+    (["smile", "--spot=-1.7e308"], "spot must be positive and finite, got -1.7e+308", None),
+    # drift / sigma and sigma sqrt(tau) warned with an overflow, then named a
+    # symptom: a no-arbitrage band, a nan target price or the kernel's a and b
+    (["price", "--rate", "1e300"], "rate sqrt(tau) reaches 4.47213595499958e+300", None),
+    (["price", "--sigma", "1.7e308"], "sigma=1.7e+308", None),
+    (["price", "--rate=-1.7e308"], "at rate=-1.7e+308", None),
+    (["smile", "--rate", "1e300"], "rate sqrt(tau) reaches 1e+301", None),
+    (["smile", "--sigma", "1.7e308"], "sigma=1.7e+308", None),
+    (["smile", "--rate=-1.7e308"], "at rate=-1.7e+308", None),
+    # S/K overflowed, then named a no-arbitrage band
+    (["price", "--strike", "5e-324"], "spot=1.0, strike=5e-324", None),
+    # order / price overflowed the agents' stock, and the run exited 0
+    (["abm", "--steps", "2000", "--seed", "1"], "raise price0 or lower unit_investment",
+     "population = 72:50, 60:50\nsteps = 2000\nprice0 = 5e-324\n"),
 ], ids=["pdf-return-sd-underflow", "pdf-density-peak-overflow",
         "pdf-logvol-peak-overflow",
         "price-kernel-weight-overflow",
         "simulate-time-stamps-overflow",
         "pdf-theta-squared-overflow-700", "pdf-theta-squared-overflow-709.8",
         "pdf-theta-squared-overflow-710", "pdf-theta-squared-overflow-745",
-        "smile-strike-overflow", "smile-spot-negative-past-range"])
+        "smile-strike-overflow", "smile-spot-negative-past-range",
+        "price-rate-1e300", "price-sigma-1.7e308", "price-rate-negative-1.7e308",
+        "smile-rate-1e300", "smile-sigma-1.7e308", "smile-rate-negative-1.7e308",
+        "price-strike-subnormal", "abm-price0-subnormal"])
 def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,
-                                                            name):
+                                                            name, config):
+    if config is not None:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from fracvol import lob
 from fracvol.errors import GenerationError, ParameterError
 from fracvol.lob import (_LOB_STREAM, _RAW_BLOCK, LIMIT_ASK, LIMIT_BID,
                          MARKET_BUY, MARKET_SELL, SIDES_ONLY, BookState,
-                         LobParams, _arrivals, apply_event, lob_step, run_lob)
+                         LobParams, _arrivals, _word_states, apply_event, lob_step,
+                         run_lob)
 from fracvol.rng import substream
 
 from oracles import book_as_dict, ref_lob_apply
@@ -197,24 +199,95 @@ def test_run_lob_equals_lob_step_loop(config, seed):
     assert trace == ref_trace
 
 
-@pytest.mark.parametrize("span", [1, 2, 21, 2**21 + 1, 2**31 + 1])
-def test_arrival_replay_matches_scalar_draws(span):
+def _words_drawn(rng):
+    """Raw 64-bit words a Philox generator has handed out since seeding."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+
+
+# the mixed case keeps the bare span as its id
+_REPLAY_PROBS = {"": (0.3, 0.2, 0.1, 0.4), "limit-only": (0.5, 0.5, 0.0, 0.0),
+                 "market-only": (0.0, 0.0, 0.5, 0.5)}
+_REPLAY_CASES = [(span, probs, block)
+                 for block in (_RAW_BLOCK, 32) for probs in _REPLAY_PROBS
+                 for span in (1, 2, 21, 2**21 + 1, 2**31 + 1)]
+
+
+@pytest.mark.parametrize("span, probs, block", _REPLAY_CASES, ids=[
+    "-".join(filter(None, (str(span), probs, "" if block == _RAW_BLOCK else f"block{block}")))
+    for span, probs, block in _REPLAY_CASES])
+def test_arrival_replay_matches_scalar_draws(monkeypatch, span, probs, block):
+    # the module's block crossed 3 times; 32-word blocks crossed about 60
+    # times, where the block ends below are certain to occur
+    monkeypatch.setattr(lob, "_RAW_BLOCK", block)
+    count = 3 * block + 1 if block == _RAW_BLOCK else 2000
+    reject_below = (1 << 32) % span
     if span == 2**31 + 1:
         # numpy redraws while the low product word is below 2**32 % span,
         # which here is about half of all draws
-        assert (1 << 32) % span > 2**30
-    probs = pa, pb, pm, _ = (0.3, 0.2, 0.1, 0.4)
+        assert reject_below > 2**30
+    probs = pa, pb, pm, _ = _REPLAY_PROBS[probs]
     rng = substream(9, 1)
-    # each arrival takes at least one word, so the replay crosses blocks
-    count = 3 * _RAW_BLOCK
-    replay = itertools.islice(_arrivals(substream(9, 1), probs, span), count)
+    blocks = _arrivals(substream(9, 1), probs, span)
+    replay = itertools.islice(itertools.chain.from_iterable(itertools.starmap(zip, blocks)),
+                              count)
+    # block ends that fall between a limit event's word and its offset word,
+    # and block ends that an accepted spare half crosses
+    words = split = carried = 0  # words: raw words before the current arrival
     for event, offset in replay:
+        if words and words % block == 0:
+            state = rng.bit_generator.state
+            spare = (state["uinteger"] * span) & 0xFFFFFFFF >= reject_below
+            carried += state["has_uint32"] and spare
         u = rng.random()
         expect = (LIMIT_ASK if u < pa else LIMIT_BID if u < pa + pb
                   else MARKET_BUY if u < pa + pb + pm else MARKET_SELL)
         assert event == expect
-        limit = expect in (LIMIT_ASK, LIMIT_BID)
-        assert offset == (int(rng.integers(span)) if limit else 0)
+        if expect in (LIMIT_ASK, LIMIT_BID):
+            assert offset == int(rng.integers(span))
+            last = _words_drawn(rng) - 1
+            split += last // block > words // block
+            words = last + 1
+        else:
+            assert offset == 0
+            words += 1
+    assert words > 3 * block  # each arrival takes at least one word
+    if block != _RAW_BLOCK:
+        draws = span > 1 and pa + pb > 0
+        assert (split > 0, carried > 0) == (draws, draws)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_word_states_match_a_scalar_walk(start):
+    # int8 codes, as _arrivals builds them, over all 27 transitions; codes
+    # of 5 and up times 27 leave the int8 range
+    codes = np.random.default_rng(start).integers(27, size=64 * lob._SCAN).astype(np.int8)
+    codes[:27] = np.arange(27)
+    expect, state = [], start
+    for code in codes.tolist():  # code f(0)*9 + f(1)*3 + f(2)
+        expect.append(state)
+        state = code // 3 ** (2 - state) % 3
+    states, end = _word_states(codes, start)
+    assert states.tolist() == expect and end == state
+
+
+def test_run_lob_draws_raw_words_in_bounded_blocks(monkeypatch):
+    # the replay's memory stays flat however many arrivals a run takes
+    sizes = []
+
+    class Spy:  # a generator as _arrivals uses it: bit_generator.random_raw only
+        def __init__(self, rng):
+            self.bit_generator, self.rng = self, rng
+
+        def random_raw(self, size):
+            sizes.append(size)
+            return self.rng.bit_generator.random_raw(size)
+
+    params = LobParams(steps=2**17)
+    expect = run_lob(params).prices
+    monkeypatch.setattr(lob, "substream", lambda *key: Spy(substream(*key)))
+    np.testing.assert_array_equal(run_lob(params).prices, expect)
+    assert len(sizes) > 1 and max(sizes) <= _RAW_BLOCK
 
 
 @pytest.mark.parametrize("seed, digest", [

@@ -116,6 +116,11 @@ BAD_CALLS = {
     "m_function-alpha-None": lambda: m_function(None, 0.5, 0.3),
     "m_function-nodes-16.0": lambda: m_function(0.3, 0.5, 0.3, nodes=16.0),
     "smile_surface-nodes-64.0": lambda: smile_surface(MODEL, 0.01, nodes=64.0),
+    # a non-finite moneyness named the strike spot/moneyness
+    "smile_surface-moneyness-nan":
+        lambda: smile_surface(MODEL, 0.01, moneyness=np.array([np.nan, 1.0])),
+    "smile_surface-moneyness-inf":
+        lambda: smile_surface(MODEL, 0.01, moneyness=np.array([np.inf, 1.0])),
     "ReturnDistParams-beta-None": lambda: ReturnDistParams(beta=None),
     "ReturnDistParams-mu-None": lambda: ReturnDistParams(mu=None),
     "ReturnDistParams-k-str": lambda: ReturnDistParams(k="0.5"),

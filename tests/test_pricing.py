@@ -147,9 +147,11 @@ def test_smile_grows_with_coupling():
     hi = smile_surface(ModelParams(k=2.0, hurst=0.8), **grid)
     assert np.all(np.abs(hi.delta_vs_bs) > np.abs(lo.delta_vs_bs))
     assert np.all(lo.price > 0) and np.all(np.isfinite(hi.implied_vol))
-    for bad in (dict(moneyness=np.array([-1.0])), dict(moneyness=np.array([1.0, np.nan])),
-                dict(taus=np.array([5.0, np.inf])), dict(moneyness=np.array([np.inf]))):
-        with pytest.raises(ParameterError):
+    for bad, name in ((dict(moneyness=np.array([-1.0])), "moneyness"),
+                      (dict(moneyness=np.array([1.0, np.nan])), "moneyness"),
+                      (dict(taus=np.array([5.0, np.inf])), "tau"),
+                      (dict(moneyness=np.array([np.inf])), "moneyness")):
+        with pytest.raises(ParameterError, match=name):
             smile_surface(ModelParams(), 0.01, **bad)
 
 
