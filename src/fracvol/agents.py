@@ -227,8 +227,14 @@ def _advance(env: MarketEnv, agents: Population, rng: np.random.Generator,
     per tick; under the step rule every tick orders one of the rows
     u * S[:, k], whose totals and impacts are computed once."""
     draws = rng.standard_normal(2 * m)
-    noise = (0.0 + env.noise_sigma * draws[0::2]).tolist()  # = normal(0, sigma)
-    walk = (0.0 + env.value_walk_sigma * draws[1::2]).tolist()
+    with np.errstate(over="ignore"):  # the overflow is what is checked
+        noise = 0.0 + env.noise_sigma * draws[0::2]  # = normal(0, sigma)
+        walk = 0.0 + env.value_walk_sigma * draws[1::2]
+    for name, scaled in (("noise_sigma", noise), ("value_walk_sigma", walk)):
+        if not np.isfinite(scaled).all():
+            raise ParameterError(f"{name}={getattr(env, name)!r} scales a normal draw "
+                                 f"past the float range; lower {name}")
+    noise, walk = noise.tolist(), walk.tolist()
     lam = (env.impact.lambda0, env.impact.lambda1, env.impact.alpha_exponent)
     s, cash, stock, buf = agents.strategies, agents.cash, agents.stock, np.empty(len(agents))
     rows = unit_investment * np.ascontiguousarray(s.T, dtype=float)

@@ -13,6 +13,12 @@ signs (a b < 0) the denominator c vanishes at u* = log(b/|a|)/2; the 1/c
 part of the integrand is odd around u*, so nodes placed symmetrically
 about u* cancel it exactly and only the smooth even part is summed.
 
+A call's legs M(a, b), M(b, a), M(a, -b), M(-b, a) form two mirrored pairs
+M(p, q), M(q, p). Gauss-Legendre nodes are exactly antisymmetric, so on the
+shared window e^u[::-1] == e^-u bit for bit and, as float + and * commute,
+c for (q, p) at node j is c for (p, q) at node n-1-j: a pair with no split
+row needs one erfc pass. Split rows do not share: log(-p/q) != -log(-q/p).
+
 alpha is not pinned down by the model: the default maps the marginal
 log-vol dispersion k delta^(H-1); `mean_variance_fit` provides the
 horizon-adjusted fit used when comparing against Monte Carlo.
@@ -39,7 +45,7 @@ _SPREAD_SDS = 8.0  # quadrature window, in units of alpha
 # implied-vol bisection bracket and price tolerance
 _IV_LO, _IV_HI = 1e-8, 5.0
 _IV_TOL = 1e-10
-_BLOCK = 64  # kernel rows per pass: each (rows, nodes) temporary stays near 256 kB
+_BLOCK = 32  # mirrored pairs per pass: each (2, pairs, nodes) temporary stays near 256 kB
 _NODES = 512  # Gauss-Legendre nodes of the M-kernel
 
 
@@ -130,17 +136,32 @@ def _gauss_exp(u: np.ndarray, alpha: float) -> np.ndarray:
     return np.exp(u - 0.5 * (u / alpha) ** 2) / (alpha * _SQRT_2PI)
 
 
+def _dot_rows(vals, w) -> np.ndarray:
+    """w @ row per row, as stacked 1 x n by n x 1 products: the same dot, unlike vals @ w."""
+    return (vals[..., None, :] @ w[:, None])[..., 0, 0]
+
+
 def _m_plain(alpha, a, b, lo, hi, x, w) -> np.ndarray:
-    """M rows for columns a, b on [lo, hi], bounds given per row or shared;
-    shared scalar bounds compute the window's exponentials once for all rows."""
+    """M rows for columns a, b on per-row bounds [lo, hi]."""
     rad = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo) + rad * x
     c = a * np.exp(u) + b * np.exp(-u)
     # e^u / c rewritten to stay finite when e^u overflows
     smooth = np.exp(-0.5 * (u / alpha) ** 2) / (a + b * np.exp(-2.0 * u))
     vals = 0.5 * smooth * erfc(-c / _SQRT2) / (alpha * _SQRT_2PI)
-    # one dot per row: a matrix-vector product may add in another order
-    return np.ravel(rad) * np.array([w @ row for row in vals])
+    return rad.ravel() * _dot_rows(vals, w)
+
+
+def _m_pair(alpha, pq, half, x, w) -> np.ndarray:
+    """Rows M(p, q), M(q, p) for rows p, q of pq on [-half, half] from one erfc
+    pass: c for (q, p) is c for (p, q) read backwards (module docs)."""
+    rad = 0.5 * (half + half)  # = half, or inf as in _m_plain once 2 half overflows
+    u = rad * x
+    eu, e2, gauss = np.exp(u), np.exp(-2.0 * u), np.exp(-0.5 * (u / alpha) ** 2)
+    tail = erfc(-(pq[0, :, None] * eu + pq[1, :, None] * eu[::-1]) / _SQRT2)
+    smooth = gauss / (pq[..., None] + pq[::-1, :, None] * e2)
+    vals = 0.5 * smooth * np.concatenate((tail[None], tail[None, :, ::-1]))
+    return rad * _dot_rows(vals / (alpha * _SQRT_2PI), w)
 
 
 def _m_split(alpha, a, b, ustar, half, x, w) -> np.ndarray:
@@ -160,46 +181,55 @@ def _m_split(alpha, a, b, ustar, half, x, w) -> np.ndarray:
     h_plus = _gauss_exp(ustar + v, alpha)
     h_minus = _gauss_exp(ustar - v, alpha)
     pair = (h_plus - h_minus) / c + (h_plus + h_minus) * erf(c / _SQRT2) / c
-    total = 0.25 * d.ravel() * np.array([w @ row for row in pair])
+    total = 0.25 * d.ravel() * _dot_rows(pair, w)
     # the leftover piece lies below u* - d, else above u* + d (empty at u* = 0)
     low = ustar - lo > d
     return total + _m_plain(alpha, a, b, np.where(low, lo, ustar + d),
                             np.where(low, ustar - d, hi), x, w)
 
 
-def _m_rows(alpha: float, a: np.ndarray, b: np.ndarray, nodes: int) -> np.ndarray:
-    """M(alpha, a_i, b_i) for alpha > 0, in blocks of _BLOCK rows."""
-    ok = np.isfinite(a) & np.isfinite(b)
+def _m_rows(alpha: float, pairs: np.ndarray, nodes: int) -> np.ndarray:
+    """Rows M(alpha, p, q) and M(alpha, q, p) for the rows p, q of pairs, alpha > 0."""
+    ok = np.isfinite(pairs).all(axis=0)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ParameterError(f"a and b must be finite, got {float(a[i])!r}, {float(b[i])!r}")
+        p, q = pairs[:, i].tolist()
+        raise ParameterError(f"a and b must be finite, got {p!r}, {q!r}")
     integer(2, nodes=nodes)
     x, w = _leggauss(nodes)
     half = _SPREAD_SDS * alpha
-    out = np.empty(a.size)
-    for start in range(0, a.size, _BLOCK):
+    out = np.empty(pairs.shape)
+    for start in range(0, pairs.shape[1], _BLOCK):
         rows = slice(start, start + _BLOCK)
-        ab, bb, res = a[rows, None], b[rows, None], out[rows]
+        pq, res = pairs[:, rows], out[:, rows]
         # u* = log(-b/a)/2, where c = a e^u + b e^-u changes sign (a b < 0);
         # when b/a underflows to 0, u* lies far below any window: plain rule
-        ustar = np.array([0.5 * math.log(-q / p) if p * q < 0 and q / p else math.nan
-                          for p, q in zip(a[rows].tolist(), b[rows].tolist())])[:, None]
-        split = ((-half < ustar) & (ustar < half)).ravel()
+        args = pq.tolist()
+        ustar = np.array([[0.5 * math.log(-t / s) if s * t < 0 and t / s else math.nan
+                           for s, t in zip(*pair)] for pair in (args, args[::-1])])
+        split = (-half < ustar) & (ustar < half)
         # e^u, e^-2u and sinh(v) pass the float range at the window edges once
-        # 16 alpha > log(max float), where their terms vanish; h(u) past it
-        # leaves a row non-finite, which the check below reports
-        with np.errstate(over="ignore", invalid="ignore"):
+        # 16 alpha > log(max float), where their terms vanish; h(u) past it, or
+        # a zero a or b, leaves a row non-finite, which _finite reports if asked for
+        with np.errstate(all="ignore"):
+            plain = ~(split[0] & split[1])  # pairs with a plain row
+            if plain.any():  # a split partner's row is redone below
+                res[:, plain] = _m_pair(alpha, pq[:, plain], half, x, w)
             if split.any():
-                res[split] = _m_split(alpha, ab[split], bb[split], ustar[split], half, x, w)
-            if not split.all():
-                res[~split] = _m_plain(alpha, ab[~split], bb[~split], -half, half, x, w)
-    if not np.isfinite(out).all():
+                res[split] = _m_split(alpha, pq[split, None], pq[::-1][split, None],
+                                      ustar[split, None], half, x, w)
+    return out
+
+
+def _finite(alpha: float, m):
+    """m, the M values a caller uses, once found finite: a mirror row it drops need not be."""
+    if not np.isfinite(m).all():
         limit = (math.log(sys.float_info.max) + 0.5 * _SPREAD_SDS**2) / _SPREAD_SDS
         raise ParameterError(
             f"alpha={alpha!r} puts the M-kernel past the float range: its weight "
             f"e^(u - u^2/(2 alpha^2)) / (alpha sqrt(2 pi)) on |u| <= {_SPREAD_SDS:g} alpha "
             f"needs a normal float alpha below {limit:.6g}")
-    return out
+    return m
 
 
 def m_function(alpha: float, a: float, b: float, nodes: int = _NODES) -> float:
@@ -213,17 +243,17 @@ def m_function(alpha: float, a: float, b: float, nodes: int = _NODES) -> float:
             raise ParameterError(f"a + b = {d!r}: the alpha -> 0 limit "
                                  "Phi(a+b)/(a+b) needs a finite nonzero sum")
         return float(ndtr(d) / d)
-    return float(_m_rows(alpha, np.array([a], float), np.array([b], float), nodes)[0])
+    return float(_finite(alpha, _m_rows(alpha, np.array([[a], [b]], float), nodes)[0, 0]))
 
 
 def _mixture(alpha, spot, drift, root, discounted, sigma, nodes):
     """Calls under dispersion alpha > 0: S (a M(a,b) + b M(b,a))
-    - K e^(-r tau) (a M(a,-b) - b M(-b,a)), one kernel pass for all legs."""
+    - K e^(-r tau) (a M(a,-b) - b M(-b,a)), one kernel pass for the mirrored
+    pairs (a, b) and (a, -b); each leg's coefficient is its first argument."""
     a, b = _ab(drift, root, sigma)
-    first = np.concatenate([a, b, a, -b])  # each leg's coefficient is its first argument
-    legs = first * _m_rows(alpha, first, np.concatenate([b, a, -b, a]), nodes)
-    legs = legs.reshape(4, -1)
-    return spot * (legs[0] + legs[1]) - discounted * (legs[2] + legs[3])
+    pq = np.stack((np.concatenate([a, a]), np.concatenate([b, -b])))
+    legs = (pq * _finite(alpha, _m_rows(alpha, pq, nodes))).reshape(2, 2, -1)
+    return spot * (legs[0, 0] + legs[1, 0]) - discounted * (legs[0, 1] + legs[1, 1])
 
 
 def _implied_vols(target, spot, drift, root, discounted, label) -> np.ndarray:

@@ -615,6 +615,15 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
     # order / price overflowed the agents' stock, and the run exited 0
     (["abm", "--steps", "2000", "--seed", "1"], "raise price0 or lower unit_investment",
      "population = 72:50, 60:50\nsteps = 2000\nprice0 = 5e-324\n"),
+    # the scaled normal draws overflowed: a warning, then an error naming
+    # unit_investment, or an exit 0
+    (["abm", "--steps", "2000", "--seed", "1"], "noise_sigma=1.7e+308",
+     "noise_sigma = 1.7e308\n"),
+    (["abm", "--steps", "2000", "--seed", "1"], "value_walk_sigma=1.7e+308",
+     "value_walk_sigma = 1.7e308\n"),
+    # a = 0 at S = K e^(-rate tau): b e^(-2u) underflowed to 0 in a kernel
+    # denominator, which warned on a divide by zero before the error line
+    (["price", "--rate", "0", "--alpha-disp", "50"], "alpha=50.0", None),
 ], ids=["pdf-return-sd-underflow", "pdf-density-peak-overflow",
         "pdf-logvol-peak-overflow",
         "price-kernel-weight-overflow",
@@ -624,7 +633,9 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
         "smile-strike-overflow", "smile-spot-negative-past-range",
         "price-rate-1e300", "price-sigma-1.7e308", "price-rate-negative-1.7e308",
         "smile-rate-1e300", "smile-sigma-1.7e308", "smile-rate-negative-1.7e308",
-        "price-strike-subnormal", "abm-price0-subnormal"])
+        "price-strike-subnormal", "abm-price0-subnormal",
+        "abm-noise-sigma-past-range", "abm-value-walk-sigma-past-range",
+        "price-zero-a-wide-dispersion"])
 def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,
                                                             name, config):
     if config is not None:

@@ -8,12 +8,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from fracvol import pricing
 from fracvol.errors import GridMismatchError, NoSolutionError, ParameterError
 from fracvol.estimation import estimate_report, induced_volatility
 from fracvol.fgn import fgn_autocovariance, generate_fgn
 from fracvol.pricing import (_BLOCK, OptionInputs, VolDispersion, black_scholes,
                              implied_vol, m_function, mean_variance_fit,
                              monte_carlo_price, price, smile_surface)
+from fracvol.returns import _leggauss
 from fracvol.simulate import ModelParams
 
 from oracles import ref_implied_vol, ref_m_function, ref_price, ref_smile
@@ -235,8 +237,17 @@ def _split_rows(moneyness, taus, sigma_t, alpha, rate=0.001):
     return np.array(flags)
 
 
+def _split_pairs(*args):
+    """_split_rows as the kernel's mirrored pairs: row 0 holds the legs
+    (a, b) then (a, -b) point by point, row 1 their mirrors (b, a), (-b, a)."""
+    legs = _split_rows(*args).reshape(4, -1)
+    return np.stack((np.concatenate(legs[0::2]), np.concatenate(legs[1::2])))
+
+
+# a = 0 at S/K = e^(-rate tau): near 0.984 for tau 16 and 0.976 for tau 24,
+# so splits of both leg pairs fall in every block of _BLOCK pairs
 NEAR_BOUNDARY = dict(moneyness=np.linspace(0.975, 0.985, 21),
-                     taus=np.array([20.0, 50.0]))
+                     taus=np.array([16.0, 24.0]))
 
 
 @pytest.mark.parametrize("alpha, sigma_t, grid", [
@@ -252,11 +263,11 @@ def test_smile_surface_equals_scalar_reference(alpha, sigma_t, grid):
     for got, want in zip((surf.price, surf.implied_vol, surf.delta_vs_bs), ref):
         np.testing.assert_array_equal(got, want)
     if grid is NEAR_BOUNDARY:
-        # 168 kernel rows in three blocks, each with split and plain rows
-        split = _split_rows(surf.moneyness, surf.taus, sigma_t, disp)
-        assert split.size > 2 * _BLOCK
-        for start in range(0, split.size, _BLOCK):
-            block = split[start:start + _BLOCK]
+        # 84 mirrored pairs in three blocks, each with split and plain rows
+        split = _split_pairs(surf.moneyness, surf.taus, sigma_t, disp)
+        assert split.shape[1] > 2 * _BLOCK
+        for start in range(0, split.shape[1], _BLOCK):
+            block = split[:, start:start + _BLOCK]
             assert block.any() and not block.all()
 
 
@@ -294,6 +305,56 @@ def test_scalar_wrappers_equal_reference():
                         (0.3, -0.2, 0.1), (0.3, 0.2, -50.0), (2.0, -0.3, 0.8),
                         (0.3, 0.2, -0.2), (0.3, -0.2, 0.2)]:
         assert m_function(alpha, a, b) == ref_m_function(alpha, a, b)
+
+
+def test_mirrored_pairs_share_one_erfc_pass(monkeypatch):
+    # a pair with no split row evaluates erfc once for both rows; any other
+    # row evaluates it once, in its plain pass or its split leftover piece
+    counted, erfc = [], pricing.erfc
+
+    def erfc_spy(z):
+        counted.append(np.size(z))
+        return erfc(z)
+
+    monkeypatch.setattr(pricing, "erfc", erfc_spy)
+    surf = smile_surface(ModelParams(), 0.01, alpha=0.3)
+    split = _split_pairs(surf.moneyness, surf.taus, 0.01, 0.3)
+    plain_pairs = int((~split.any(axis=0)).sum())
+    assert split.size == 1680 and plain_pairs == 599
+    assert sum(counted) == 512 * (split.size - plain_pairs) == 553_472
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 64, 511, 512])
+def test_legendre_nodes_are_mirrored(nodes):
+    x, w = _leggauss(nodes)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("nodes", [65, 511])
+def test_odd_node_count_equals_reference(nodes):
+    # the middle node sits at u = 0, where a pair's rows read the same erfc value
+    grid = dict(moneyness=np.array([0.8, 0.98, 1.0, 1.25]), taus=np.array([5.0, 20.0, 50.0]))
+    surf = smile_surface(ModelParams(), 0.01, alpha=0.3, nodes=nodes, **grid)
+    ref = ref_smile(surf.moneyness, surf.taus, 0.01, 0.3, nodes=nodes)
+    for got, want in zip((surf.price, surf.implied_vol, surf.delta_vs_bs), ref):
+        np.testing.assert_array_equal(got, want)
+    for strike in (0.8, 1.0, 1.25):
+        opt = OptionInputs(1.0, strike, 0.001, 0.01, 20.0)
+        assert price(opt, VolDispersion(0.3), nodes) == ref_price(
+            1.0, strike, 0.001, 0.01, 20.0, 0.3, nodes)
+    for a, b in [(0.2, 0.1), (0.2, -0.1), (-0.3, 0.8)]:
+        assert m_function(0.3, a, b, nodes) == ref_m_function(0.3, a, b, nodes)
+
+
+def test_pair_with_one_split_row_equals_reference():
+    # u* = log(121.51...)/2 rounds to just inside the window [-2.4, 2.4] and
+    # its mirror's log(1/121.51...)/2 to just outside: the plain row runs
+    # through the pair pass, whose partner row the split pass replaces
+    alpha, a, b = 0.3, 1.0, -121.5104175187348
+    half = 8.0 * alpha
+    assert 0.5 * math.log(-b / a) < half <= -0.5 * math.log(-a / b)
+    for p, q in ((a, b), (b, a)):
+        assert m_function(alpha, p, q) == ref_m_function(alpha, p, q)
 
 
 def test_no_solution_error_names_the_point():
