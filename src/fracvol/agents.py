@@ -10,18 +10,19 @@ sometimes mutate) the strategies of the best at fixed intervals.
 
 `run_experiment` wires a full run into the volatility-estimation pipeline so
 the emergent series can be compared against the fractional-volatility model
-on the same statistics.
+on the same statistics; `read_config` reads its ExperimentConfig from a
+key = value file.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
 
 from .errors import (Checked, GenerationError, ParameterError, finite, integer, nonnegative,
-                     one_of, positive)
+                     one_of, positive, within_cells)
 from .estimation import WINDOW, EstimationReport, estimate_report, pipeline_logvol
 from .rng import _ABM_STREAM, substream
 from .simulate import MarketPath
@@ -338,9 +339,89 @@ class ExperimentConfig(Checked):
 
     def validate(self) -> None:
         integer(1, n_steps=self.n_steps)
+        within_cells(n_steps=self.n_steps)
         integer(8, window=self.window)
         positive(unit_investment=self.unit_investment, price0=self.price0)
         finite(cash0=self.cash0, stock0=self.stock0)
+
+
+# read_config's key -> (section, field name, default), for the fields whose
+# default is a value rather than None or a factory
+_CONFIG_CLASSES = {"": ExperimentConfig, "impact": ImpactParams, "evolution": EvolutionParams}
+_CONFIG_KEYS = {f"{section}.{f.name}".lstrip("."): (section, f.name, f.default)
+                for section, cls in _CONFIG_CLASSES.items() for f in fields(cls)
+                if type(f.default) in (tuple, bool, int, float, str)}
+_CONFIG_KEYS["steps"] = _CONFIG_KEYS.pop("n_steps")
+
+
+def _config_value(key: str, default, text: str):
+    """text read as the type of the field default it replaces, population as
+    code:count pairs; a malformed value is a ParameterError naming key."""
+    kind = type(default)
+    if kind is tuple:  # population
+        mix = []
+        for part in text.split(","):
+            code, sep, count = part.strip().partition(":")
+            if not sep:
+                raise ParameterError(
+                    f"population entries are code:count, got {part.strip()!r}")
+            mix.append((_config_value(key, 0, code), _config_value(key, 0, count)))
+        return tuple(mix)
+    if kind is bool:
+        if text.lower() in ("true", "1", "yes", "false", "0", "no"):
+            return text.lower() in ("true", "1", "yes")
+        raise ParameterError(f"{key} must be a boolean, got {text!r}")
+    if kind is str:
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(
+            f"{key} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {text!r}") from None
+
+
+def read_config(file_path: str | None, overrides: dict) -> ExperimentConfig:
+    """The ExperimentConfig of a key = value file (none when file_path is
+    None or empty), then of overrides, a {field name: value} dict.
+
+    The keys are the fields of ExperimentConfig, with steps for n_steps, and
+    impact.* / evolution.* for the fields of ImpactParams / EvolutionParams:
+
+        population  steps  seed  unit_investment  noise_sigma  value_walk_sigma
+        f_choice  beta_f  price0  cash0  stock0  window
+        impact.lambda0  impact.lambda1  impact.alpha_exponent
+        evolution.period  evolution.copiers  evolution.mutation_prob
+        evolution.random_selection
+
+    A value is read as the type of the field's default (a boolean as
+    true/false, yes/no or 1/0), and population as strategy code : agent
+    count pairs such as "72:30, 60:30". Any evolution.* key enables the
+    tournament. Blank lines and lines starting with # are ignored; a line
+    without "=", an unknown key or a malformed value is a ParameterError.
+    """
+    pairs = {}
+    if file_path:
+        with open(file_path, "r") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                if "=" not in text:
+                    raise ParameterError(
+                        f"{file_path} line {lineno}: expected key = value, got {text!r}")
+                key, _, value = text.partition("=")
+                pairs[key.strip()] = value.strip()
+    groups = {section: {} for section in _CONFIG_CLASSES}
+    for key, text in pairs.items():
+        if key not in _CONFIG_KEYS:
+            raise ParameterError(f"unknown config key {key!r}")
+        section, name, default = _CONFIG_KEYS[key]
+        groups[section][name] = _config_value(key, default, text)
+    values = groups.pop("")
+    values.update({section: _CONFIG_CLASSES[section](**given)
+                   for section, given in groups.items() if given})
+    return ExperimentConfig(**{**values, **overrides})
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,18 @@ keywords and raise ParameterError naming the first bad one: "dt must be
 positive and finite, got nan". None, strings, NaN and +-inf fail finite,
 positive ("positive and finite") and nonnegative ("nonnegative and
 finite"); integer ("an integer >= lo", or "in [lo, hi]") takes ints and
-numpy integers but never floats, so no count is truncated. Only math and
-operator are imported, because `import fracvol` loads this module.
+numpy integers but never floats, so no count is truncated; within_cells
+bounds a count by the cells an array may hold. Only math, operator and sys
+are imported, because `import fracvol` loads this module.
 """
 import math
 import operator
+import sys
+
+# most cells an array may hold: numpy sizes an array in bytes within a signed
+# machine word, and the largest temporaries (complex fGn spectra over twice
+# the path) take 32 bytes a cell
+MAX_CELLS = sys.maxsize // 32
 
 
 class FracvolError(Exception):
@@ -90,6 +97,14 @@ def integer(lo: int, hi: int | None = None, **named) -> None:
         if not ok:
             span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def within_cells(**named) -> None:
+    """Each keyword's value, an integer count of array cells, is at most MAX_CELLS."""
+    for name, value in named.items():
+        if value > MAX_CELLS:
+            raise ParameterError(f"{name} must be at most {MAX_CELLS}, the cells an "
+                                 f"array may hold, got {value!r}")
 
 
 def one_of(name: str, value, options: tuple) -> None:

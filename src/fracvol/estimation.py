@@ -212,6 +212,21 @@ class EstimationReport:
     n_floored: int
 
 
+def uniform_step(times) -> float:
+    """The step dt of a time grid of at least 2 points that is uniform to
+    within 1e-9 relative, as estimate_report's prices must lie on."""
+    t = np.asarray(times, dtype=float)
+    if t.size < 2:
+        raise InsufficientDataError("need at least 2 rows to estimate")
+    diffs = np.diff(t)
+    close = np.isclose(diffs, diffs[0], rtol=1e-9, atol=0.0)
+    if not close.all():
+        uneven = int(np.argmax(~close))
+        raise GridMismatchError(f"time grid must be uniform; step {uneven + 1} is "
+                                f"{diffs[uneven]!r} vs {diffs[0]!r}")
+    return float(diffs[0])
+
+
 def estimate_report(prices, dt: float = 1.0, window: int = WINDOW,
                     delta: float = 1.0, detrend: bool = False,
                     debias: bool = True, scaling_lags=None, max_lag: int = 10,

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (Checked, GenerationError, ParameterError, finite, integer, nonnegative,
-                     positive)
+                     positive, within_cells)
 from .rng import substream
 
 _WEIGHT_CACHE = 8  # (n, H) keys kept; the forward-and-back loop uses 3
@@ -193,6 +193,7 @@ def generate_fgn(n: int, hurst: float, spacing: float = 1.0,
     """
     h = check_hurst(hurst)
     integer(1, n=n)
+    within_cells(n=n)
     positive(spacing=spacing)
     rng = substream(seed)
     values = _sample_unit_fgn(int(n), h, rng, 1)[0] * spacing**h

@@ -29,7 +29,7 @@ from itertools import accumulate, chain, islice, product, starmap
 import numpy as np
 
 from .errors import (Checked, GenerationError, ParameterError, integer, nonnegative, one_of,
-                     positive)
+                     positive, within_cells)
 from .estimation import WINDOW, induced_volatility, pipeline_logvol
 from .rng import _LOB_STREAM, substream
 from .simulate import MarketPath
@@ -79,6 +79,7 @@ class LobParams(Checked):
     def validate(self) -> None:
         integer(1, _MAX_HALF_WIDTH, half_width=self.half_width)
         integer(1, steps=self.steps)
+        within_cells(steps=self.steps)
         positive(order_size=self.order_size, slot_size=self.slot_size,
                  initial_price=self.initial_price)
         p = self.event_probs

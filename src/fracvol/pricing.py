@@ -141,6 +141,11 @@ def _dot_rows(vals, w) -> np.ndarray:
     return (vals[..., None, :] @ w[:, None])[..., 0, 0]
 
 
+def _times(coef, e) -> np.ndarray:
+    """coef * e, where a term whose coefficient is exactly 0 is 0, not 0 * inf = nan."""
+    return np.where(coef == 0.0, 0.0, coef * e)
+
+
 def _m_plain(alpha, a, b, lo, hi, x, w) -> np.ndarray:
     """M rows for columns a, b on per-row bounds [lo, hi]."""
     rad = 0.5 * (hi - lo)
@@ -158,8 +163,9 @@ def _m_pair(alpha, pq, half, x, w) -> np.ndarray:
     rad = 0.5 * (half + half)  # = half, or inf as in _m_plain once 2 half overflows
     u = rad * x
     eu, e2, gauss = np.exp(u), np.exp(-2.0 * u), np.exp(-0.5 * (u / alpha) ** 2)
-    tail = erfc(-(pq[0, :, None] * eu + pq[1, :, None] * eu[::-1]) / _SQRT2)
-    smooth = gauss / (pq[..., None] + pq[::-1, :, None] * e2)
+    mul = _times if e2[0] == np.inf else np.multiply  # e^-2u past the float range
+    tail = erfc(-(mul(pq[0, :, None], eu) + mul(pq[1, :, None], eu[::-1])) / _SQRT2)
+    smooth = gauss / (pq[..., None] + mul(pq[::-1, :, None], e2))
     vals = 0.5 * smooth * np.concatenate((tail[None], tail[None, :, ::-1]))
     return rad * _dot_rows(vals / (alpha * _SQRT_2PI), w)
 
@@ -209,8 +215,8 @@ def _m_rows(alpha: float, pairs: np.ndarray, nodes: int) -> np.ndarray:
                            for s, t in zip(*pair)] for pair in (args, args[::-1])])
         split = (-half < ustar) & (ustar < half)
         # e^u, e^-2u and sinh(v) pass the float range at the window edges once
-        # 16 alpha > log(max float), where their terms vanish; h(u) past it, or
-        # a zero a or b, leaves a row non-finite, which _finite reports if asked for
+        # 16 alpha > log(max float), where their terms vanish (0 when a or b is
+        # 0); h(u) past it leaves a row non-finite, which _finite reports if asked for
         with np.errstate(all="ignore"):
             plain = ~(split[0] & split[1])  # pairs with a plain row
             if plain.any():  # a split partner's row is redone below
@@ -252,7 +258,9 @@ def _mixture(alpha, spot, drift, root, discounted, sigma, nodes):
     pairs (a, b) and (a, -b); each leg's coefficient is its first argument."""
     a, b = _ab(drift, root, sigma)
     pq = np.stack((np.concatenate([a, a]), np.concatenate([b, -b])))
-    legs = (pq * _finite(alpha, _m_rows(alpha, pq, nodes))).reshape(2, 2, -1)
+    m = _m_rows(alpha, pq, nodes)
+    m[(pq == 0.0) & ~np.isfinite(m)] = 0.0  # a leg with coefficient 0 adds exactly 0
+    legs = (pq * _finite(alpha, m)).reshape(2, 2, -1)
     return spot * (legs[0, 0] + legs[1, 0]) - discounted * (legs[0, 1] + legs[1, 1])
 
 

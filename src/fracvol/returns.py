@@ -9,6 +9,7 @@ exp(-log^2(lambda) / C), C = 8 k^2 delta^(2H-2), up to a slowly varying factor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,8 @@ from .rng import substream
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _NODES = 256  # Gauss-Legendre nodes over log sigma
 _HALFWIDTH_SDS = 12.0  # half-width of the log-sigma window, in its sds
+_GRID_POINTS = 513  # points of return_grid
+_GRID_SPAN_SDS = 8.0  # its half-width, in return sds
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,21 @@ def sample_returns(params: ReturnDistParams, n: int, seed: int = 0) -> np.ndarra
 def central_return(params: ReturnDistParams) -> float:
     """r0 = (mu - theta^2/2) * lag, the center used by the tail variable."""
     return (params.mu - 0.5 * params.theta**2) * params.lag
+
+
+def return_grid(params: ReturnDistParams) -> np.ndarray:
+    """513 returns evenly over central_return +- 8 sd, where the return sd is
+    theta e^(k^2 delta^(2H-2)) sqrt(lag): the grid of the pdf command."""
+    center = central_return(params)
+    try:
+        sd = params.theta * math.exp(params.sigma_logvol ** 2) * math.sqrt(params.lag)
+    except OverflowError:
+        sd = math.inf
+    if not math.isfinite(abs(center) + _GRID_SPAN_SDS * sd):
+        raise ParameterError(f"the return grid (sd {sd!r}) is past the float range; "
+                             "lower k or beta")
+    return np.linspace(center - _GRID_SPAN_SDS * sd, center + _GRID_SPAN_SDS * sd,
+                       _GRID_POINTS)
 
 
 def tail_lambda(r, params: ReturnDistParams):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GenerationError, GridMismatchError, ParameterError, grid_ratio,
-                     integer, nonnegative, one_of, positive)
+                     integer, nonnegative, one_of, positive, within_cells)
 from .fgn import LogVolParams, _sample_unit_fgn
 from .rng import _ENS_PRICE, _ENS_VOL, _PRICE, _VOL, substream
 
@@ -100,7 +100,8 @@ def _logvol_grid(params: ModelParams, n_values: int, dt: float,
         return params.beta + scale * np.repeat(g, min(hold, n_values), axis=1)[:, :n_values]
     sub = grid_ratio(dt, params.delta)
     if sub is not None:
-        n_fine = (n_values - 1) * sub + 1
+        n_fine = (int(n_values) - 1) * sub + 1
+        within_cells(**{"n_paths * (n_steps * dt/delta + 1)": int(n_paths) * n_fine})
         g = _sample_unit_fgn(n_fine, params.hurst, rng, n_paths)
         return params.beta + scale * g[:, ::sub]
     raise GridMismatchError(
@@ -154,6 +155,7 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
     in memory, so keep n_paths * n_steps within budget.
     """
     integer(1, n_steps=n_steps, n_paths=n_paths)
+    within_cells(**{"n_paths * (n_steps + 1)": int(n_paths) * (int(n_steps) + 1)})
     positive(dt=dt, s0=s0)
     if params.coupling == IDENTIFIED_DRIVERS:
         raise ParameterError(
@@ -227,6 +229,7 @@ def simulate_identified(params: ModelParams, n_steps: int, dt: float,
     truncation.
     """
     integer(1, n_steps=n_steps, history=history)
+    within_cells(**{"history + n_steps": int(history) + int(n_steps)})
     positive(dt=dt, s0=s0)
     times = _time_grid(n_steps, dt)
     rng_price = substream(seed, _PRICE) if params.coupling == INDEPENDENT_DRIVERS else None
@@ -246,6 +249,8 @@ def identified_return_ensemble(params: ModelParams, n_steps: int, dt: float,
     the output depends only on (params, n_steps, dt, history, seed, n_paths).
     """
     integer(1, n_steps=n_steps, history=history, n_paths=n_paths)
+    within_cells(**{"n_paths * (history + n_steps)":
+                    int(n_paths) * (int(history) + int(n_steps))})
     positive(dt=dt)
     out = np.empty((n_paths, n_steps))
     for start in range(0, n_paths, _CHUNK):

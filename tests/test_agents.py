@@ -10,9 +10,9 @@ from fracvol.agents import (FUNDAMENTAL, FUNDAMENTAL_CODE, TREND_FOLLOWING,
                             TREND_FOLLOWING_CODE, EvolutionParams,
                             ExperimentConfig, ImpactParams, MarketEnv,
                             Population, Strategy, evolve, info_vector,
-                            market_impact, pipeline_logvol, run_experiment,
-                            _signal_weight, step, strategy_code,
-                            strategy_decode)
+                            market_impact, pipeline_logvol, read_config,
+                            run_experiment, _CONFIG_KEYS, _signal_weight, step,
+                            strategy_code, strategy_decode)
 from fracvol.errors import GenerationError, InsufficientDataError, ParameterError
 from fracvol.rng import substream
 
@@ -270,3 +270,24 @@ def test_price_past_float_range_is_a_generation_error():
     with pytest.raises(GenerationError,
                        match=r"log price 1e\+149 at step 1 \(seed 5\)"):
         run_experiment(cfg)
+
+
+def test_read_config_builds_the_experiment_then_applies_overrides(tmp_path):
+    cfg = tmp_path / "market.cfg"
+    cfg.write_text("# a market\n\npopulation = 72:30, 60:30\nsteps = 400\nseed = 3\n"
+                   "f_choice = logistic\nimpact.lambda0 = 8000\n"
+                   "evolution.random_selection = yes\n")
+    assert read_config(str(cfg), {"n_steps": 600}) == ExperimentConfig(
+        population=((72, 30), (60, 30)), n_steps=600, seed=3, f_choice="logistic",
+        impact=ImpactParams(lambda0=8000.0),
+        evolution=EvolutionParams(random_selection=True))
+    assert read_config(None, {}) == ExperimentConfig()
+    cfg.write_text("steps = 400\nmyst = 1\n")
+    with pytest.raises(ParameterError, match=r"^unknown config key 'myst'$"):
+        read_config(str(cfg), {})
+
+
+def test_read_config_documents_exactly_the_keys_it_accepts():
+    listed = read_config.__doc__.split("EvolutionParams:\n\n")[1].split("\n\n")[0]
+    assert sorted(listed.split()) == sorted(_CONFIG_KEYS)
+    assert "steps" in _CONFIG_KEYS and "n_steps" not in _CONFIG_KEYS

@@ -621,9 +621,6 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
      "noise_sigma = 1.7e308\n"),
     (["abm", "--steps", "2000", "--seed", "1"], "value_walk_sigma=1.7e+308",
      "value_walk_sigma = 1.7e308\n"),
-    # a = 0 at S = K e^(-rate tau): b e^(-2u) underflowed to 0 in a kernel
-    # denominator, which warned on a divide by zero before the error line
-    (["price", "--rate", "0", "--alpha-disp", "50"], "alpha=50.0", None),
 ], ids=["pdf-return-sd-underflow", "pdf-density-peak-overflow",
         "pdf-logvol-peak-overflow",
         "price-kernel-weight-overflow",
@@ -634,8 +631,7 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
         "price-rate-1e300", "price-sigma-1.7e308", "price-rate-negative-1.7e308",
         "smile-rate-1e300", "smile-sigma-1.7e308", "smile-rate-negative-1.7e308",
         "price-strike-subnormal", "abm-price0-subnormal",
-        "abm-noise-sigma-past-range", "abm-value-walk-sigma-past-range",
-        "price-zero-a-wide-dispersion"])
+        "abm-noise-sigma-past-range", "abm-value-walk-sigma-past-range"])
 def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, argv,
                                                             name, config):
     if config is not None:
@@ -649,6 +645,21 @@ def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, ar
     doc = json.loads(lines[0])
     assert doc["error"] == "ParameterError" and name in doc["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["50", "88", "92.7"])
+def test_price_with_zero_a_and_wide_dispersion(tmp_path, capsys, alpha):
+    # a = 0 at S = K e^(-rate tau): the legs with coefficient a add exactly 0,
+    # where their M rows pass the float range; this exited 1 blaming alpha
+    out = tmp_path / "p.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["price", "--rate", "0", "--alpha-disp", alpha, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert 0.0 < doc["value"] < doc["spot"]  # the no-arbitrage band at rate 0, S = K
+    if alpha == "50":
+        assert doc["value"] == 0.47439954428948283
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -7,7 +7,7 @@ from fracvol.errors import (GridMismatchError, InsufficientDataError,
 from fracvol.estimation import (autocorrelation, default_scaling_lags,
                                 estimate_report, induced_volatility,
                                 integrated_logvol_decompose, leverage,
-                                scaling_exponent)
+                                scaling_exponent, uniform_step)
 from fracvol.fgn import fbm_from_fgn, generate_fgn
 
 
@@ -163,3 +163,13 @@ def test_report_rejects_non_finite_prices(bad):
     prices = np.r_[np.ones(100), bad, np.ones(100)]
     with pytest.raises(ParameterError, match="finite.*at index 100"):
         estimate_report(prices)
+
+
+def test_uniform_step_is_the_grid_rule_of_an_ingested_series():
+    assert uniform_step([0.0, 0.5, 1.0, 1.5]) == 0.5
+    assert uniform_step(np.arange(1000) * 0.1) == 0.1  # steps within 1e-9 relative
+    with pytest.raises(GridMismatchError, match=r"^time grid must be uniform; step 2 is "):
+        uniform_step([0.0, 1.0, 2.5])
+    for short in ([], [3.0]):
+        with pytest.raises(InsufficientDataError, match=r"^need at least 2 rows"):
+            uniform_step(short)

@@ -103,6 +103,13 @@ def test_no_default_written_twice():
     assert twice == {}
 
 
+def test_cli_raises_nothing():
+    """The CLI only adapts flags to library calls: every check, and so every
+    raise, belongs to the module that owns the decision."""
+    tree = ast.parse((Path(fracvol.__file__).parent / "cli.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)] == []
+
+
 # one bad field per class with a validate(); every other field is valid
 _ONE_BAD_FIELD = {
     "LogVolParams": dict(hurst=1.5),

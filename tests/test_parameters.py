@@ -1,6 +1,7 @@
 """Parameter checks: the shared rules in errors.py and every entry point
 that uses them."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from fracvol.agents import (EvolutionParams, ExperimentConfig, ImpactParams,
                             MarketEnv, Population, run_experiment,
                             strategy_decode)
-from fracvol.errors import (GenerationError, GridMismatchError, ParameterError,
-                            finite, grid_ratio, integer, nonnegative, one_of,
-                            positive)
+from fracvol.errors import (MAX_CELLS, GenerationError, GridMismatchError,
+                            ParameterError, finite, grid_ratio, integer, nonnegative,
+                            one_of, positive, within_cells)
 from fracvol.estimation import (estimate_report, induced_volatility,
                                 integrated_logvol_decompose, leverage)
 from fracvol.fgn import check_hurst, fgn_autocovariance, generate_fgn
@@ -215,3 +216,36 @@ def test_price_below_float_range_is_a_generation_error():
         with pytest.raises(GenerationError,
                            match=r"log price -1e\+149 at step 1 \(seed 0\)"):
             run_experiment(cfg)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: path_ensemble(MODEL, 10**20, 1.0), "n_paths * (n_steps + 1)"),
+    (lambda: simulate_path(MODEL, 2**58, 1.0), "n_paths * (n_steps + 1)"),
+    (lambda: path_ensemble(MODEL, 4096, 1.0, n_paths=10**20), "n_paths * (n_steps + 1)"),
+    (lambda: path_ensemble(MODEL, 2**29, 1.0, n_paths=2**29), "n_paths * (n_steps + 1)"),
+    (lambda: path_ensemble(MODEL, np.int64(10), 1e20), "n_paths * (n_steps * dt/delta + 1)"),
+    (lambda: generate_fgn(10**20, 0.7), "n"),
+    (lambda: simulate_identified(MODEL, 10**20, 1.0), "history + n_steps"),
+    (lambda: identified_return_ensemble(MODEL, 10, 1.0, n_paths=10**20),
+     "n_paths * (history + n_steps)"),
+    (lambda: LobParams(steps=10**20), "steps"),
+    (lambda: ExperimentConfig(n_steps=10**20), "n_steps"),
+], ids=["path_ensemble-n_steps", "simulate_path-n_steps", "path_ensemble-n_paths",
+        "path_ensemble-product", "path_ensemble-fine-grid", "generate_fgn-n",
+        "simulate_identified-n_steps", "identified_return_ensemble-product",
+        "LobParams-steps", "ExperimentConfig-n_steps"])
+def test_count_past_the_array_size_limit_names_it(call, name):
+    # numpy raised a raw ValueError ("Maximum allowed size exceeded"), a numpy
+    # integer n_steps a raw OverflowError, and run_lob would have recorded
+    # steps until memory ran out
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} must be at most "):
+        call()
+
+
+def test_max_cells_is_where_numpy_refuses_the_fgn_spectrum():
+    within_cells(n=MAX_CELLS, m=np.int64(1))
+    with pytest.raises(ParameterError, match=rf"^n must be at most {MAX_CELLS}, the cells "
+                                             rf"an array may hold, got {MAX_CELLS + 1}$"):
+        within_cells(n=MAX_CELLS + 1)
+    with pytest.raises(ValueError):  # numpy refuses the fGn spectrum one cell past it
+        np.empty((1, 2 * (MAX_CELLS + 1)), complex)

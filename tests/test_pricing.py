@@ -383,3 +383,12 @@ def test_wide_dispersion_below_the_limit_is_unchanged():
     assert repr(price(ATM, VolDispersion(50.0))) == "0.48518188795268846"
     assert repr(price(ATM, VolDispersion(92.0))) == "0.49576456313136685"
     assert repr(m_function(1000.0, 1.0, 1.0)) == "0.49999999999999806"
+
+
+def test_zero_coefficient_legs_add_nothing_past_the_float_range():
+    # a = 0 at S = K e^(-rate tau). Past alpha ~ 44.4, e^(-2u) overflows in
+    # the window, where 0 * inf made M(b, 0) nan; test_cli prices alpha 50 to 92.7
+    b = 0.5 * 0.01 * math.sqrt(20.0)
+    assert 0.0 < m_function(50.0, b, 0.0) < math.inf
+    opt = OptionInputs(1.0, 1.0, 0.0, 0.01, 20.0)
+    assert price(opt, VolDispersion(40.0)) == 0.4683710998641863  # no overflow: unchanged

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from fracvol.errors import OutOfRegimeError, ParameterError
 from fracvol.returns import (ReturnDistParams, calibrate_tail_prefactor, cdf,
-                             central_return, pdf, return_for_lambda,
+                             central_return, pdf, return_for_lambda, return_grid,
                              sample_returns, tail_asymptotic, tail_lambda)
 
 
@@ -198,3 +198,18 @@ def test_central_volatility_squared_at_the_float_edge_is_kept():
     # e^(2 beta) is still a float just below beta = log(max float) / 2
     p = ReturnDistParams(beta=354.89)
     assert np.isfinite(central_return(p)) and central_return(p) < -8e307
+
+
+def test_return_grid_spans_eight_sds_about_the_centre():
+    params = ReturnDistParams(lag=2.0)
+    sd = params.theta * np.exp(params.sigma_logvol ** 2) * np.sqrt(2.0)
+    r = return_grid(params)
+    assert r.shape == (513,)
+    assert r[0] == central_return(params) - 8.0 * sd
+    assert r[-1] == central_return(params) + 8.0 * sd
+    assert r[256] == pytest.approx(central_return(params), abs=1e-12 * sd)
+    np.testing.assert_allclose(np.diff(r), sd / 32.0, rtol=1e-9)
+    # e^(k^2) overflows at k = 27: the grid is past the float range
+    with pytest.raises(ParameterError, match=re.escape(
+            "the return grid (sd inf) is past the float range; lower k or beta")):
+        return_grid(ReturnDistParams(k=27.0))
