@@ -24,7 +24,7 @@ _SOURCE = {name: module for module, names in {
                   "integrated_logvol_decompose leverage scaling_exponent",
     "fgn": "FbmSeries FgnSeries fbm_from_fgn fgn_autocovariance generate_fgn",
     "io": "ingest_prices",
-    "lob": "BookState LobParams apply_event lob_step run_lob",
+    "lob": "LobParams run_lob",
     "pricing": "OptionInputs SmileSurface VolDispersion black_scholes implied_vol "
                "m_function monte_carlo_price price smile_surface",
     "returns": "ReturnDistParams cdf pdf sample_returns tail_asymptotic",

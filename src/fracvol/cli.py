@@ -4,10 +4,11 @@ parameter dataclass, calls one library function and writes the artifact.
 Commands: simulate, estimate, pdf, price, smile, abm, lob. Each writes a
 single artifact (CSV or JSON, atomic temp + rename) to --out and prints a
 one-line JSON run summary (command, seed, wall_time, output) to stdout.
-Exit codes: 0 success, 1 domain error (bad parameters or data, reported as
-one JSON line on stderr), 2 usage error. Artifacts are byte-identical
-across runs with the same arguments. Each handler imports its own module:
-only pdf, price and smile load scipy; the other commands need numpy only.
+Exit codes: 0 success, 1 domain error (bad parameters or data, or a size
+that cannot be allocated, reported as one JSON line on stderr), 2 usage
+error. Artifacts are byte-identical across runs with the same arguments.
+Each handler imports its own module: only pdf, price and smile load
+scipy; the other commands need numpy only.
 
 The abm command reads an optional key = value config file, in the format
 that agents.read_config documents; --steps and --seed override the file.
@@ -250,9 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         _HANDLERS[args.command](args)
-    except (FracvolError, OSError) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
+    except (FracvolError, OSError, MemoryError) as err:
+        # numpy raises a private MemoryError subclass; name the public one
+        name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
+        print(json.dumps({"error": name, "message": str(err)}), file=sys.stderr)
         return 1
     summary = {"command": args.command, "seed": args.seed,
                "wall_time": round(time.perf_counter() - start, 6),

@@ -223,7 +223,7 @@ def uniform_step(times) -> float:
     if not close.all():
         uneven = int(np.argmax(~close))
         raise GridMismatchError(f"time grid must be uniform; step {uneven + 1} is "
-                                f"{diffs[uneven]!r} vs {diffs[0]!r}")
+                                f"{float(diffs[uneven])!r} vs {float(diffs[0])!r}")
     return float(diffs[0])
 
 

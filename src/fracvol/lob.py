@@ -9,27 +9,28 @@ price moves, the window recenters and resting orders left outside it are
 dropped.
 
 These rules are written once, in _transition, over a book kept as two lists
-across the window: run_lob feeds it a whole run of arrivals, apply_event a
-single one. Everything is driven by a single event draw per step, so a run
-is fully determined by its parameters and seed.
+across the window; run_lob is the only entry point. Each arrival takes one
+rng.random() for its event and, for a limit event, one rng.integers(span)
+for its slot: span is 2*half_width + 1 across the window two-sided, or
+half_width slots above the price for asks and below it for bids sides-only.
+So a run is fully determined by its parameters and seed.
 
-run_lob's arrivals are lob_step's own draws, replayed by _arrivals from raw
-Philox words in numpy blocks. Each raw word is in one of three states: an
-event word, an event word while an accepted spare half waits, or a fresh
-word drawn for a placement offset. A scan of composed transition tables
-settles the states of a whole block at once. A limit event whose offset
-word lies past the block's end, or a spare that outlives it, carries into
-the next block.
+_arrivals replays these draws from raw Philox words in numpy blocks. Each
+raw word is in one of three states: an event word, an event word while an
+accepted spare half waits, or a fresh word drawn for a placement offset. A
+scan of composed transition tables settles the states of a whole block at
+once. A limit event whose offset word lies past the block's end, or a spare
+that outlives it, carries into the next block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, islice, product, starmap
 
 import numpy as np
 
-from .errors import (Checked, GenerationError, ParameterError, integer, nonnegative, one_of,
-                     positive, within_cells)
+from .errors import (Checked, GenerationError, ParameterError, integer, one_of, positive,
+                     within_cells)
 from .estimation import WINDOW, induced_volatility, pipeline_logvol
 from .rng import _LOB_STREAM, substream
 from .simulate import MarketPath
@@ -90,96 +91,6 @@ class LobParams(Checked):
         one_of("placement", self.placement, (TWO_SIDED, SIDES_ONLY))
 
 
-@dataclass
-class BookState(Checked):
-    """Resting liquidity, pending market orders and the current price slot."""
-
-    price_slot: int = 0
-    slot_size: float = LobParams.slot_size
-    half_width: int = LobParams.half_width
-    asks: dict = field(default_factory=dict)
-    bids: dict = field(default_factory=dict)
-    pending_buys: float = 0.0
-    pending_sells: float = 0.0
-
-    def validate(self) -> None:
-        integer(1, half_width=self.half_width)
-        positive(slot_size=self.slot_size)
-        nonnegative(pending_buys=self.pending_buys, pending_sells=self.pending_sells)
-        lo, hi = self.price_slot - self.half_width, self.price_slot + self.half_width
-        for name, side in (("ask", self.asks), ("bid", self.bids)):
-            for slot, size in side.items():
-                if not lo <= slot <= hi:
-                    raise ParameterError(f"{name} at slot {slot} outside window [{lo}, {hi}]")
-                positive(**{f"{name} size at slot {slot}": size})
-
-
-def apply_event(book: BookState, event: int, slot, order_size: float) -> BookState:
-    """Apply one arrival to the book in place and return it; slot is the
-    placement for limit events and ignored for market orders.
-
-    The book's dicts become window lists centred on price_slot, run_lob's
-    transition (_transition) runs on this one event, and the lists become
-    dicts again. A limit slot outside the window [price_slot - half_width,
-    price_slot + half_width] is a ParameterError.
-    """
-    p, w = book.price_slot, book.half_width
-    lo, hi = p - w, p + w
-    if event not in (LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL):
-        raise ParameterError(f"unknown event {event!r}")
-    if event <= LIMIT_BID:
-        integer(lo, hi, slot=slot)
-    asks = [book.asks.get(s, 0.0) for s in range(lo, hi + 1)]
-    bids = [book.bids.get(s, 0.0) for s in range(lo, hi + 1)]
-    n_asks, n_bids = len(asks) - asks.count(0.0), len(bids) - bids.count(0.0)
-    if n_asks + n_bids != len(book.asks) + len(book.bids):
-        book.validate()  # names the order outside the window or of size 0
-    arrival = (event, slot - lo if event <= LIMIT_BID else 0)
-    asks, bids, _, _, book.pending_buys, book.pending_sells, p = _transition(
-        (asks, bids, n_asks, n_bids, book.pending_buys, book.pending_sells, p),
-        iter([arrival]), 1, float(order_size))
-    book.price_slot, lo = p, p - w
-    book.asks = {lo + i: size for i, size in enumerate(asks) if size}
-    book.bids = {lo + i: size for i, size in enumerate(bids) if size}
-    return book
-
-
-def lob_step(book: BookState, params: LobParams, rng: np.random.Generator,
-             trace: list | None = None) -> BookState:
-    """Draw one arrival and apply it, mutating the book in place.
-
-    A loop of lob_step from an empty book equals run_lob bit for bit.
-    Consumes one uniform for the event type and, for limit arrivals, one
-    integer for the placement slot. When trace is a list, appends one
-    (event, slot, price) tuple: slot is the arrival slot for limit orders
-    and the post-event price slot for market orders (the matched slot, or
-    unchanged if the side was empty); price is the post-event price.
-    """
-    u = float(rng.random())
-    pa, pb, pm, _ = params.event_probs
-    if u < pa:
-        event = LIMIT_ASK
-    elif u < pa + pb:
-        event = LIMIT_BID
-    elif u < pa + pb + pm:
-        event = MARKET_BUY
-    else:
-        event = MARKET_SELL
-    slot = None
-    if event in (LIMIT_ASK, LIMIT_BID):
-        p, w = book.price_slot, book.half_width
-        if params.placement == TWO_SIDED:
-            slot = p - w + int(rng.integers(2 * w + 1))
-        else:  # asks above the price, bids below
-            slot = (p + 1 if event == LIMIT_ASK else p - w) + int(rng.integers(w))
-    apply_event(book, event, slot, params.order_size)
-    if trace is not None:
-        used = slot if slot is not None else book.price_slot
-        price = params.initial_price + params.slot_size * book.price_slot
-        trace.append((event, int(used), float(price)))
-    return book
-
-
 def _word_states(codes: np.ndarray, state: int) -> tuple[np.ndarray, int]:
     """The state before each word, entering in `state`, and the state after
     the last word. codes holds each word's transition as a function code
@@ -198,13 +109,14 @@ def _word_states(codes: np.ndarray, state: int) -> tuple[np.ndarray, int]:
 
 
 def _arrivals(rng: np.random.Generator, event_probs, span: int, ask_base: int = 0):
-    """Yield the draws of successive lob_step calls in blocks: per block of
-    _RAW_BLOCK raw words, an (events, offsets) pair of lists; a limit ask's
-    offset comes with ask_base added, a market event's is 0.
+    """Yield successive arrivals' draws in blocks: per block of _RAW_BLOCK
+    raw words, an (events, offsets) pair of lists; a limit ask's offset
+    comes with ask_base added, a market event's is 0.
 
-    lob_step draws rng.random() for the event and, for a limit event,
-    rng.integers(span) for the placement offset. Neither depends on the
-    book, so the stream is replayed here from raw 64-bit Philox words:
+    Each arrival draws u = rng.random() and is the first event type whose
+    cumulative event_probs exceeds u (a market sell past all three), then a
+    limit event draws rng.integers(span) for its offset. Neither depends on
+    the book, so the stream is replayed here from raw 64-bit Philox words:
     random() is (word >> 11) * 2**-53, and integers(span) is numpy's 32-bit
     Lemire draw (Lemire 2019), which takes the low half of a fresh word and
     keeps the high half as a spare for the next call, redraws while the low
@@ -292,7 +204,8 @@ def _transition(book: tuple, arrivals, count: int, order_size: float, record=Non
     to one unit from the closest opposing slot (ties resolve to the
     price-improving side), moves the price there and parks any shortfall in
     its register. After each event, record (a callable) gets p, and a trace
-    list gets the (event, slot, x0 + dx * p) tuple that lob_step documents.
+    list gets an (event, slot, x0 + dx * p) tuple: slot is the arrival slot
+    of a limit order and the post-event price slot p of a market order.
     """
     asks, bids, n_asks, n_bids, pending_buys, pending_sells, p = book
     w = len(asks) // 2
@@ -378,12 +291,14 @@ def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:
     initial_price + slot * slot_size with slot counted from the warm-up
     start, and the path's logvol is the estimation pipeline's window
     estimate stamped at each window end (pipeline_logvol). A trace list
-    collects (event, slot, price) tuples for the recorded steps only;
-    entry i describes the arrival between path rows i and i+1.
+    collects one (event, slot, price) tuple per recorded step: the event
+    code, the arrival slot of a limit order or the post-event price slot of
+    a market order, and the post-event price. Entry i describes the arrival
+    between path rows i and i+1.
 
-    The draws come from _arrivals and go through _transition, which
-    apply_event runs too, in two calls (warm-up, then recording), so the
-    result equals a loop of lob_step from an empty BookState bit for bit.
+    The draws, in the order the module docstring states, come from
+    _arrivals and go through _transition in two calls (warm-up, then
+    recording).
     """
     w = params.half_width
     n = 2 * w + 1

@@ -3,7 +3,8 @@
 Everything here is written from the documented transition rules in the
 plainest possible style, deliberately sharing no transition code with the
 package: the agent-market reference borrows only its state containers,
-`evolve` and the seeded substream.
+`evolve` and the seeded substream, the order-book reference only the event
+codes and the substream. test_package checks these imports.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from scipy.special import erf, erfc, ndtr
 
 from fracvol.agents import MarketEnv, Population, evolve
 from fracvol.errors import NoSolutionError
-from fracvol.lob import LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL, BookState
+from fracvol.lob import LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL
 from fracvol.rng import substream
 
 
@@ -51,19 +52,9 @@ def fgn_durbin_levinson(n: int, hurst: float, rng: np.random.Generator,
     return out
 
 
-def book_as_dict(book: BookState) -> dict:
-    return {
-        "price": book.price_slot,
-        "w": book.half_width,
-        "asks": dict(book.asks),
-        "bids": dict(book.bids),
-        "pending_buys": book.pending_buys,
-        "pending_sells": book.pending_sells,
-    }
-
-
 def ref_lob_apply(state: dict, event: int, slot, order_size: float) -> dict:
-    """One order-book transition on a plain dict state.
+    """One order-book transition on a plain dict state: price, w, asks and
+    bids as {slot: size}, pending_buys and pending_sells.
 
     Rules: a limit order first serves the opposing pending register and the
     price jumps to its arrival slot if anything matched; the remainder rests
@@ -129,6 +120,59 @@ def ref_lob_apply(state: dict, event: int, slot, order_size: float) -> dict:
     else:
         raise ValueError(f"unknown event {event!r}")
     return s
+
+
+def ref_lob_step(state: dict, params, rng: np.random.Generator,
+                 trace: list | None = None) -> dict:
+    """Draw one arrival and apply it with ref_lob_apply.
+
+    The event is the first type whose cumulative probability in
+    params.event_probs (limit ask, limit bid, market buy, market sell)
+    exceeds rng.random(). A limit event then draws rng.integers(span) for
+    its slot: anywhere in price +- w two-sided; sides only, an ask in the w
+    slots above the price and a bid in the w slots below. A trace list gets
+    (event, slot, price): the arrival slot of a limit order or the new price
+    slot of a market order, and the price after the event.
+    """
+    u = float(rng.random())
+    pa, pb, pm, _ = params.event_probs
+    if u < pa:
+        event = LIMIT_ASK
+    elif u < pa + pb:
+        event = LIMIT_BID
+    elif u < pa + pb + pm:
+        event = MARKET_BUY
+    else:
+        event = MARKET_SELL
+    slot = None
+    if event in (LIMIT_ASK, LIMIT_BID):
+        p, w = state["price"], state["w"]
+        if params.placement == "sides_only":
+            slot = (p + 1 if event == LIMIT_ASK else p - w) + int(rng.integers(w))
+        else:
+            slot = p - w + int(rng.integers(2 * w + 1))
+    state = ref_lob_apply(state, event, slot, float(params.order_size))
+    if trace is not None:
+        price = params.initial_price + params.slot_size * state["price"]
+        trace.append((event, slot if slot is not None else state["price"], float(price)))
+    return state
+
+
+def ref_run_lob(params):
+    """(prices, trace) of a run: ref_lob_step from an empty book on the
+    seed's book substream (id 5), 10 (2w + 1) unrecorded warm-up arrivals,
+    then params.steps recorded ones with the price slot counted from 0."""
+    rng = substream(params.seed, 5)
+    w = params.half_width
+    state = {"price": 0, "w": w, "asks": {}, "bids": {},
+             "pending_buys": 0.0, "pending_sells": 0.0}
+    for _ in range(10 * (2 * w + 1)):
+        state = ref_lob_step(state, params, rng)
+    slots, trace = [state["price"]], []
+    for _ in range(params.steps):
+        state = ref_lob_step(state, params, rng, trace)
+        slots.append(state["price"])
+    return params.initial_price + params.slot_size * np.array(slots), trace
 
 
 # ----------------------------------------------------------------- pricing

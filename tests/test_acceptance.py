@@ -17,7 +17,8 @@ from scipy.integrate import quad
 import fracvol
 
 from conftest import record
-from oracles import book_as_dict, excess_kurtosis, ref_lob_apply
+from lob_window import apply_window
+from oracles import excess_kurtosis, ref_lob_apply
 
 from fracvol.agents import (EvolutionParams, ExperimentConfig, MarketEnv,
                             Population, run_experiment, step, strategy_code,
@@ -25,7 +26,7 @@ from fracvol.agents import (EvolutionParams, ExperimentConfig, MarketEnv,
 from fracvol.estimation import autocorrelation, estimate_report, leverage
 from fracvol.fgn import fgn_autocovariance, generate_fgn
 from fracvol.lob import (LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL,
-                         BookState, LobParams, apply_event, run_lob)
+                         LobParams, run_lob)
 from fracvol.pricing import (OptionInputs, VolDispersion, black_scholes,
                              implied_vol, m_function, mean_variance_fit,
                              monte_carlo_price, price, smile_surface)
@@ -305,13 +306,11 @@ def test_criterion_09_exact_identities():
             if (pb > 0 and asks) or (ps > 0 and bids):
                 continue
             for event, slot in events:
-                book = BookState(price_slot=0, half_width=4, slot_size=0.1,
-                                 asks=dict(asks), bids=dict(bids),
-                                 pending_buys=pb, pending_sells=ps)
-                ref = ref_lob_apply(book_as_dict(book), event, slot, 1.3)
-                apply_event(book, event, slot, 1.3)
+                book = {"price": 0, "w": 4, "asks": asks, "bids": bids,
+                        "pending_buys": pb, "pending_sells": ps}
+                ref = ref_lob_apply(book, event, slot, 1.3)
                 checked += 1
-                mismatches += book_as_dict(book) != ref
+                mismatches += apply_window(book, event, slot, 1.3) != ref
     ok = _tag(9, "exact identities",
               f"named strategy codes: {named_ok}; 81-code bijection: "
               f"{bijective}; settlement conservation drift {worst:.1e} over "

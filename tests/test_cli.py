@@ -566,10 +566,14 @@ def test_runs_leave_only_artifacts(tmp_path, capsys):
      "ParameterError"),
     (["smile", "--delta", "1e-310", "--hurst", "0.001"], None, "ParameterError"),
     (["simulate", "--steps", "5", "--beta", "700"], None, "GenerationError"),
+    # 2^57 steps: within MAX_CELLS, but numpy refuses the 1 EiB time grid at
+    # once, as its private MemoryError subclass
+    (["simulate", "--steps", str(2**57)], None, "MemoryError"),
 ], ids=["pdf-k-past-exp-range", "price-discount-past-exp-range",
         "price-moneyness-underflow", "smile-sigma-underflowing-u-star",
         "abm-log-price-below-float-range", "simulate-subnormal-delta",
-        "smile-subnormal-delta", "simulate-vol-past-float-range"])
+        "smile-subnormal-delta", "simulate-vol-past-float-range",
+        "simulate-steps-past-memory"])
 def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "c.cfg"

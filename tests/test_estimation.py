@@ -168,7 +168,8 @@ def test_report_rejects_non_finite_prices(bad):
 def test_uniform_step_is_the_grid_rule_of_an_ingested_series():
     assert uniform_step([0.0, 0.5, 1.0, 1.5]) == 0.5
     assert uniform_step(np.arange(1000) * 0.1) == 0.1  # steps within 1e-9 relative
-    with pytest.raises(GridMismatchError, match=r"^time grid must be uniform; step 2 is "):
+    with pytest.raises(GridMismatchError,
+                       match=r"^time grid must be uniform; step 2 is 1\.5 vs 1\.0$"):
         uniform_step([0.0, 1.0, 2.5])
     for short in ([], [3.0]):
         with pytest.raises(InsufficientDataError, match=r"^need at least 2 rows"):

@@ -1,72 +1,69 @@
 """Order-book transitions against worked examples and a reference engine."""
 import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from fracvol import lob
 from fracvol.errors import GenerationError, ParameterError
-from fracvol.lob import (_LOB_STREAM, _RAW_BLOCK, LIMIT_ASK, LIMIT_BID,
-                         MARKET_BUY, MARKET_SELL, SIDES_ONLY, BookState,
-                         LobParams, _arrivals, _word_states, apply_event, lob_step,
+from fracvol.lob import (_RAW_BLOCK, LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL,
+                         SIDES_ONLY, LobParams, _arrivals, _transition, _word_states,
                          run_lob)
 from fracvol.rng import substream
 
-from oracles import book_as_dict, ref_lob_apply
+from lob_window import apply_window
+from oracles import ref_lob_apply, ref_run_lob
+
+
+def _book(w=10, asks=(), bids=(), pending_buys=0.0, pending_sells=0.0):
+    """A book at price slot 0 in oracles.ref_lob_apply's dict form."""
+    return {"price": 0, "w": w, "asks": dict(asks), "bids": dict(bids),
+            "pending_buys": pending_buys, "pending_sells": pending_sells}
 
 
 def test_market_order_on_empty_book_waits():
-    book = BookState()
-    apply_event(book, MARKET_BUY, None, 2.0)
-    assert book.pending_buys == 1.0
-    assert book.price_slot == 0 and not book.asks
-    apply_event(book, MARKET_SELL, None, 2.0)
-    assert book.pending_sells == 1.0
+    book = apply_window(_book(), MARKET_BUY, None, 2.0)
+    assert book["pending_buys"] == 1.0
+    assert book["price"] == 0 and not book["asks"]
+    book = apply_window(book, MARKET_SELL, None, 2.0)
+    assert book["pending_sells"] == 1.0
 
 
 def test_market_order_fill_moves_price():
-    book = BookState(asks={2: 0.4})
-    apply_event(book, MARKET_BUY, None, 2.0)
-    assert book.price_slot == 2
-    assert not book.asks
-    assert book.pending_buys == pytest.approx(0.6)
-    book = BookState(asks={2: 2.0})
-    apply_event(book, MARKET_BUY, None, 2.0)
-    assert book.asks == {2: 1.0}
-    assert book.pending_buys == 0.0
-    assert book.price_slot == 2
+    book = apply_window(_book(asks={2: 0.4}), MARKET_BUY, None, 2.0)
+    assert book["price"] == 2
+    assert not book["asks"]
+    assert book["pending_buys"] == pytest.approx(0.6)
+    book = apply_window(_book(asks={2: 2.0}), MARKET_BUY, None, 2.0)
+    assert book["asks"] == {2: 1.0}
+    assert book["pending_buys"] == 0.0
+    assert book["price"] == 2
 
 
 def test_tie_breaking_improves_price():
-    book = BookState(asks={2: 1.0, -2: 1.0})
-    apply_event(book, MARKET_BUY, None, 2.0)
-    assert book.price_slot == -2  # buyer takes the cheaper ask
-    book = BookState(bids={2: 1.0, -2: 1.0})
-    apply_event(book, MARKET_SELL, None, 2.0)
-    assert book.price_slot == 2  # seller hits the higher bid
+    book = apply_window(_book(asks={2: 1.0, -2: 1.0}), MARKET_BUY, None, 2.0)
+    assert book["price"] == -2  # buyer takes the cheaper ask
+    book = apply_window(_book(bids={2: 1.0, -2: 1.0}), MARKET_SELL, None, 2.0)
+    assert book["price"] == 2  # seller hits the higher bid
 
 
 def test_limit_order_serves_pending_register():
-    book = BookState(pending_buys=1.5)
-    apply_event(book, LIMIT_ASK, 3, 2.0)
-    assert book.pending_buys == 0.0
-    assert book.asks == {3: 0.5}
-    assert book.price_slot == 3
-    book = BookState(pending_buys=3.0)
-    apply_event(book, LIMIT_ASK, -1, 2.0)
-    assert book.pending_buys == 1.0
-    assert not book.asks
-    assert book.price_slot == -1
+    book = apply_window(_book(pending_buys=1.5), LIMIT_ASK, 3, 2.0)
+    assert book["pending_buys"] == 0.0
+    assert book["asks"] == {3: 0.5}
+    assert book["price"] == 3
+    book = apply_window(_book(pending_buys=3.0), LIMIT_ASK, -1, 2.0)
+    assert book["pending_buys"] == 1.0
+    assert not book["asks"]
+    assert book["price"] == -1
 
 
 def test_price_move_evicts_stale_orders():
-    book = BookState(half_width=3, asks={3: 1.0}, bids={-3: 1.0})
-    apply_event(book, MARKET_BUY, None, 2.0)
-    assert book.price_slot == 3
-    assert not book.bids  # slot -3 fell out of [0, 6]
-    book.validate()
+    book = apply_window(_book(3, asks={3: 1.0}, bids={-3: 1.0}), MARKET_BUY, None, 2.0)
+    assert book["price"] == 3
+    assert not book["bids"]  # slot -3 fell out of [0, 6]
+    assert all(0 <= slot <= 6 for slot in book["asks"])
 
 
 def test_exhaustive_small_states_match_reference():
@@ -85,25 +82,28 @@ def test_exhaustive_small_states_match_reference():
             if (pb > 0 and asks) or (ps > 0 and bids):
                 continue
             for event, slot in events:
-                book = BookState(price_slot=0, half_width=4, slot_size=0.1,
-                                 asks=dict(asks), bids=dict(bids),
-                                 pending_buys=pb, pending_sells=ps)
-                ref = ref_lob_apply(book_as_dict(book), event, slot, 1.3)
-                apply_event(book, event, slot, 1.3)
-                assert book_as_dict(book) == ref
+                book = _book(4, asks, bids, pb, ps)
+                ref = ref_lob_apply(book, event, slot, 1.3)
+                assert apply_window(book, event, slot, 1.3) == ref
                 checked += 1
     assert checked == 10800
 
 
 def test_book_invariants_hold_under_stepping():
-    params = LobParams(half_width=5, steps=1, seed=2)
-    book = BookState(half_width=5)
-    rng = substream(2, 99)
-    for i in range(2000):
-        lob_step(book, params, rng)
-        if i % 100 == 0:
-            book.validate()
-    book.validate()
+    # run_lob's kernel on its own arrival stream, checked after every block
+    params = LobParams(half_width=5, order_size=0.7)
+    n = 2 * params.half_width + 1
+    arrivals = itertools.chain.from_iterable(itertools.starmap(zip, _arrivals(
+        substream(2, 99), params.event_probs, n)))
+    book = ([0.0] * n, [0.0] * n, 0, 0, 0.0, 0.0, 0)
+    for _ in range(20):
+        book = _transition(book, arrivals, 100, params.order_size)
+        asks, bids, n_asks, n_bids, pending_buys, pending_sells, _ = book
+        assert len(asks) == len(bids) == n
+        assert (n_asks, n_bids) == (np.count_nonzero(asks), np.count_nonzero(bids))
+        sizes = np.array(asks + bids)
+        assert np.isfinite(sizes).all() and (sizes >= 0).all()
+        assert pending_buys >= 0 and pending_sells >= 0
 
 
 def test_symmetric_events_leave_no_drift():
@@ -139,17 +139,14 @@ def test_trace_aligns_with_path():
 
 
 def test_one_sided_placement_keeps_sides_apart():
-    params = LobParams(placement=SIDES_ONLY, steps=1, seed=5)
-    book = BookState(half_width=10)
-    rng = substream(5, 21)
-    for _ in range(1500):
-        before = book.price_slot
-        asks0, bids0 = dict(book.asks), dict(book.bids)
-        lob_step(book, params, rng)
-        new_asks = set(book.asks) - set(asks0)
-        new_bids = set(book.bids) - set(bids0)
-        assert all(s > before for s in new_asks)
-        assert all(s < before for s in new_bids)
+    # sides only, run_lob draws w offsets, asks counted from the slot above the price
+    w = 10
+    events, offsets = next(_arrivals(substream(5, 21), LobParams.event_probs, w, w + 1))
+    placed = {event: {j for e, j in zip(events, offsets) if e == event}
+              for event in (LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL)}
+    assert placed[LIMIT_ASK] == set(range(w + 1, 2 * w + 1))
+    assert placed[LIMIT_BID] == set(range(w))
+    assert placed[MARKET_BUY] == placed[MARKET_SELL] == {0}
 
 
 def test_price_floor_guard():
@@ -167,19 +164,6 @@ def test_price_floor_error_names_seed_step_and_price():
     assert path.prices.min() > 0  # so step 87664 is the first bad one
 
 
-def _lob_step_run(params):
-    """run_lob's prices and trace, rebuilt from a loop of lob_step."""
-    rng = substream(params.seed, _LOB_STREAM)
-    book = BookState(slot_size=params.slot_size, half_width=params.half_width)
-    for _ in range(10 * (2 * params.half_width + 1)):
-        lob_step(book, params, rng)
-    slots, trace = [book.price_slot], []
-    for _ in range(params.steps):
-        lob_step(book, params, rng, trace)
-        slots.append(book.price_slot)
-    return params.initial_price + params.slot_size * np.array(slots), trace
-
-
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("config", [
     {},
@@ -194,7 +178,7 @@ def test_run_lob_equals_lob_step_loop(config, seed):
     params = LobParams(steps=1500, seed=seed, **config)
     trace = []
     path = run_lob(params, trace)
-    ref_prices, ref_trace = _lob_step_run(params)
+    ref_prices, ref_trace = ref_run_lob(params)
     np.testing.assert_array_equal(path.prices, ref_prices)
     assert trace == ref_trace
 
@@ -316,13 +300,3 @@ def test_params_validation():
     for bad in (dict(half_width=2.5), dict(steps=10.5)):
         with pytest.raises(ParameterError):
             run_lob(LobParams(**bad))
-    for bad in (dict(asks={99: 1.0}), dict(pending_buys=-1.0),
-                dict(asks={0: math.nan}), dict(bids={0: math.inf}),
-                dict(pending_buys=math.nan), dict(pending_sells=math.inf),
-                dict(slot_size=math.nan), dict(slot_size=math.inf)):
-        with pytest.raises(ParameterError):
-            BookState(**bad)
-    for event, slot, match in ((7, None, "unknown event 7"),
-                               (LIMIT_ASK, 50, r"slot must be an integer in \[-2, 2\], got 50")):
-        with pytest.raises(ParameterError, match=match):
-            apply_event(BookState(half_width=2), event, slot, 1.0)

@@ -110,6 +110,23 @@ def test_cli_raises_nothing():
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)] == []
 
 
+# what tests/oracles.py may import from the package: state containers, event
+# codes, an error class and the substream, but no transition or kernel
+_ORACLE_IMPORTS = {"LIMIT_ASK", "LIMIT_BID", "MARKET_BUY", "MARKET_SELL", "MarketEnv",
+                   "Population", "evolve", "NoSolutionError", "substream"}
+
+
+def test_oracles_import_no_package_kernel():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "fracvol"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fracvol":
+            imported += [a.name for a in node.names]
+    assert imported and set(imported) <= _ORACLE_IMPORTS, sorted(set(imported) - _ORACLE_IMPORTS)
+
+
 # one bad field per class with a validate(); every other field is valid
 _ONE_BAD_FIELD = {
     "LogVolParams": dict(hurst=1.5),
@@ -124,7 +141,6 @@ _ONE_BAD_FIELD = {
     "EvolutionParams": dict(mutation_prob=1.5),
     "ExperimentConfig": dict(window=4),
     "LobParams": dict(event_probs=(0.3, 0.3, 0.3, 0.3)),
-    "BookState": dict(asks={99: 1.0}),
 }
 # a result, not a parameter: its builder checks it, so that a test of the checks
 # that read it can still build a corrupted copy

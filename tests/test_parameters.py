@@ -16,7 +16,7 @@ from fracvol.errors import (MAX_CELLS, GenerationError, GridMismatchError,
 from fracvol.estimation import (estimate_report, induced_volatility,
                                 integrated_logvol_decompose, leverage)
 from fracvol.fgn import check_hurst, fgn_autocovariance, generate_fgn
-from fracvol.lob import BookState, LobParams
+from fracvol.lob import LobParams
 from fracvol.pricing import (OptionInputs, VolDispersion, m_function,
                              mean_variance_fit, monte_carlo_price, price,
                              smile_surface)
@@ -139,8 +139,6 @@ BAD_CALLS = {
     "ImpactParams-lambda0-None": lambda: ImpactParams(lambda0=None),
     "MarketEnv-noise_sigma-str": lambda: MarketEnv(noise_sigma="0.1"),
     "LobParams-order_size-None": lambda: LobParams(order_size=None),
-    "BookState-slot_size-None": lambda: BookState(slot_size=None),
-    "BookState-half_width-2.5": lambda: BookState(half_width=2.5),
     # k^2 delta^(2H-2) past the float range; a raw OverflowError before
     "ModelParams-logvol-variance":
         lambda: ModelParams(delta=1e-310, hurst=0.001),
