@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (Checked, GenerationError, ParameterError, finite, integer, nonnegative,
                      one_of, positive, within_cells)
-from .estimation import WINDOW, EstimationReport, estimate_report, pipeline_logvol
+from .estimation import (WINDOW, EstimationReport, estimate_report, integer_lags,
+                         pipeline_logvol)
 from .rng import _ABM_STREAM, substream
 from .simulate import MarketPath
 
@@ -341,6 +342,8 @@ class ExperimentConfig(Checked):
         integer(1, n_steps=self.n_steps)
         within_cells(n_steps=self.n_steps)
         integer(8, window=self.window)
+        if self.scaling_lags is not None:
+            integer_lags(self.scaling_lags, "scaling_lags")
         positive(unit_investment=self.unit_investment, price0=self.price0)
         finite(cash0=self.cash0, stock0=self.stock0)
 

@@ -9,6 +9,7 @@ report.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,6 +19,33 @@ from .errors import (GridMismatchError, InsufficientDataError, ParameterError,
                      grid_ratio, integer, positive)
 
 WINDOW = 21  # default induced-volatility window, in price points
+_LEVERAGE_LAGS = 10  # estimate_report's leverage runs over tau in [-10, 10]
+_ACF_LAGS = 20  # and its return autocorrelation over lags 1..20
+
+
+def _finite_values(name: str, values, positive: bool = False) -> np.ndarray:
+    """values as a float array once each entry is finite (and > 0 with positive),
+    else ParameterError naming the first offender and its flat index."""
+    x = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(x) & (x > 0)) if positive else ~np.isfinite(x))
+    if bad.size:
+        raise ParameterError(f"{name} must be finite{' and strictly positive' * positive}; "
+                             f"first offender {float(x.flat[bad[0]])!r} at index {bad[0]}")
+    return x
+
+
+def integer_lags(lags, name: str = "lags") -> np.ndarray:
+    """lags as int64 once each is an integer: 1.5, nan or "2" raise rather than
+    truncate, and one past the int64 range, longer than any series, is clipped."""
+    values = np.asarray(lags)
+    out = []
+    for i, lag in enumerate(values.ravel().tolist()):
+        try:
+            out.append(min(max(operator.index(lag), -2**63), 2**63 - 1))
+        except TypeError:
+            raise ParameterError(f"{name} must be integers; first offender {lag!r} "
+                                 f"at index {i}") from None
+    return np.array(out, dtype=np.int64).reshape(values.shape)
 
 
 def _sliding_sums(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -26,20 +54,17 @@ def _sliding_sums(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     return c1[window:] - c1[:-window], c2[window:] - c2[:-window]
 
 
-def induced_volatility(log_prices, window: int, dt: float = 1.0,
-                       detrend: bool = False, debias: bool = True) -> np.ndarray:
+def induced_volatility(log_prices, window: int, dt: float = 1.0) -> np.ndarray:
     """Window-variance volatility estimate, one value per window center.
 
     The raw statistic is the sample variance of the log price over a sliding
     window of `window` points, divided by the window length window*dt. For a
     diffusive path that statistic underestimates sigma^2 by the exact factor
     (window + 1)/(6*window) (the within-window random-walk wander is much
-    smaller than the increment scale), so by default the output is rescaled
-    to make the estimator unbiased for constant-volatility diffusion.
-    Pass debias=False for the raw statistic, and detrend=True to remove the
-    best-fit line inside each window before taking the variance.
+    smaller than the increment scale), so the output is rescaled by its
+    inverse to make the estimator unbiased for constant-volatility diffusion.
     """
-    x = np.asarray(log_prices, dtype=float)
+    x = _finite_values("log_prices", log_prices)
     integer(8, window=window)
     positive(dt=dt)
     w = int(window)
@@ -49,16 +74,9 @@ def induced_volatility(log_prices, window: int, dt: float = 1.0,
         )
     s1, s2 = _sliding_sums(x, w)
     ss = s2 - s1 * s1 / w
-    if detrend:
-        # subtract the within-window OLS line; grid moments are constants
-        j = np.arange(w, dtype=float)
-        t_ss = w * (w * w - 1.0) / 12.0
-        cross = np.convolve(x, j[::-1], mode="valid") - (w - 1.0) / 2.0 * s1
-        ss = ss - cross * cross / t_ss
     var = np.clip(ss, 0.0, None) / (w - 1.0)
     scale = var / (w * dt)
-    if debias:
-        scale *= 6.0 * w / (w + 1.0)
+    scale *= 6.0 * w / (w + 1.0)
     return np.sqrt(scale)
 
 
@@ -104,13 +122,8 @@ def integrated_logvol_decompose(vol, delta: float = 1.0) -> LogvolDecomposition:
     delta step; r_sigma holds the residuals, which have exactly zero mean.
     The fitted line plus r_sigma reconstructs the cumulative series exactly.
     """
-    v = np.asarray(vol, dtype=float)
     positive(delta=delta)
-    bad = np.flatnonzero(~(v > 0))
-    if bad.size:
-        raise ParameterError(
-            f"volatility must be strictly positive; first offender at index {bad[0]}"
-        )
+    v = _finite_values("volatility", vol, positive=True)
     c = np.cumsum(np.log(v))
     t = np.arange(1.0, len(c) + 1.0)
     t_c = t - t.mean()
@@ -133,11 +146,9 @@ def default_scaling_lags(n: int) -> np.ndarray:
 
 def scaling_exponent(r_sigma, lags=None) -> tuple[float, float]:
     """Slope of log E|R(t + lag) - R(t)| against log lag, with its stderr."""
-    r = np.asarray(r_sigma, dtype=float)
+    r = _finite_values("r_sigma", r_sigma)
     n = len(r)
-    if lags is None:
-        lags = default_scaling_lags(n)
-    lags = np.unique(np.asarray(lags, dtype=int))
+    lags = np.unique(default_scaling_lags(n) if lags is None else integer_lags(lags))
     lags = lags[(lags >= 1) & (lags < n)]
     if len(lags) < 4:
         raise InsufficientDataError(
@@ -164,7 +175,7 @@ def leverage(returns, max_lag: int) -> np.ndarray:
     [-max_lag, max_lag].
     """
     integer(0, max_lag=max_lag)
-    r = np.atleast_2d(np.asarray(returns, dtype=float))
+    r = np.atleast_2d(_finite_values("returns", returns))
     n = r.shape[1]
     if n <= 2 * max_lag:
         raise InsufficientDataError(
@@ -184,13 +195,13 @@ def leverage(returns, max_lag: int) -> np.ndarray:
 
 def autocorrelation(series, lags) -> np.ndarray:
     """Sample autocorrelation normalized by the lag-0 variance."""
-    x = np.asarray(series, dtype=float)
+    x = _finite_values("series", series)
     x = x - x.mean()
     n = len(x)
     denom = x @ x
     if denom == 0.0:
         raise ParameterError("series has zero variance; autocorrelation undefined")
-    lags = np.asarray(lags, dtype=int)
+    lags = integer_lags(lags)
     if np.any(lags >= n / 2) or np.any(lags < 0):
         raise ParameterError("lags must lie in [0, length/2)")
     out = np.empty((len(lags), 2))
@@ -228,26 +239,17 @@ def uniform_step(times) -> float:
 
 
 def estimate_report(prices, dt: float = 1.0, window: int = WINDOW,
-                    delta: float = 1.0, detrend: bool = False,
-                    debias: bool = True, scaling_lags=None, max_lag: int = 10,
-                    acf_lags: int = 20) -> EstimationReport:
+                    delta: float = 1.0, scaling_lags=None) -> EstimationReport:
     """Run the full pipeline on a price series.
 
     Windows with zero variance (as flat stretches of quantized prices
     produce) would make the log-volatility sum diverge, so they are floored
-    at the smallest positive estimate; n_floored reports how many.
+    at the smallest positive estimate; n_floored reports how many. Leverage
+    covers lags -10..10 and the return autocorrelation lags 1..20.
     """
     positive(dt=dt, delta=delta)
-    integer(1, max_lag=max_lag, acf_lags=acf_lags)
-    p = np.asarray(prices, dtype=float)
-    bad = np.flatnonzero(~((p > 0) & np.isfinite(p)))
-    if bad.size:
-        raise ParameterError(
-            f"prices must be finite and strictly positive; first offender "
-            f"{float(p[bad[0]])!r} at index {bad[0]}"
-        )
-    log_p = np.log(p)
-    sigma = induced_volatility(log_p, window, dt, detrend=detrend, debias=debias)
+    log_p = np.log(_finite_values("prices", prices, positive=True))
+    sigma = induced_volatility(log_p, window, dt)
     step = grid_ratio(delta, dt)
     if step is None:
         raise GridMismatchError(
@@ -257,8 +259,8 @@ def estimate_report(prices, dt: float = 1.0, window: int = WINDOW,
     decomp = integrated_logvol_decompose(vol, delta)
     hurst_hat, hurst_stderr = scaling_exponent(decomp.r_sigma, scaling_lags)
     returns = np.diff(log_p)
-    lev = leverage(returns, max_lag)
-    acf = autocorrelation(returns, np.arange(1, acf_lags + 1))
+    lev = leverage(returns, _LEVERAGE_LAGS)
+    acf = autocorrelation(returns, np.arange(1, _ACF_LAGS + 1))
     return EstimationReport(
         induced_vol=sigma,
         beta_hat=decomp.beta_hat,

@@ -71,20 +71,6 @@ class LogVolParams(Checked):
         finite(**{"log-vol variance k^2 delta^(2H-2)": var})
 
 
-def fbm_covariance(s, t, hurst: float):
-    """Covariance of fractional Brownian motion at times s and t.
-
-    Accepts scalars or broadcastable arrays; times may be negative (the
-    two-sided process).
-    """
-    h = check_hurst(hurst)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    two_h = 2.0 * h
-    out = 0.5 * (np.abs(t) ** two_h + np.abs(s) ** two_h - np.abs(t - s) ** two_h)
-    return out if out.ndim else float(out)
-
-
 def fgn_autocovariance(lag, hurst: float, spacing: float = 1.0):
     """Autocovariance of fGn at integer lag(s) for the given grid spacing.
 

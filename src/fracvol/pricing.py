@@ -8,9 +8,9 @@ collapses to a single integral against the M-function
         * int_0^inf dx exp(-log^2 x / (2 alpha^2)) erfc(-c/sqrt(2)) / c,
     c(x) = a x + b / x,
 
-evaluated here in u = log x with a fixed Gauss-Legendre rule. For mixed
-signs (a b < 0) the denominator c vanishes at u* = log(b/|a|)/2; the 1/c
-part of the integrand is odd around u*, so nodes placed symmetrically
+evaluated here in u = log x with 512 Gauss-Legendre nodes on |u| <= 8 alpha.
+For mixed signs (a b < 0) the denominator c vanishes at u* = log(b/|a|)/2;
+the 1/c part of the integrand is odd around u*, so nodes placed symmetrically
 about u* cancel it exactly and only the smooth even part is summed.
 
 A call's legs M(a, b), M(b, a), M(a, -b), M(-b, a) form two mirrored pairs
@@ -194,15 +194,14 @@ def _m_split(alpha, a, b, ustar, half, x, w) -> np.ndarray:
                             np.where(low, ustar - d, hi), x, w)
 
 
-def _m_rows(alpha: float, pairs: np.ndarray, nodes: int) -> np.ndarray:
+def _m_rows(alpha: float, pairs: np.ndarray) -> np.ndarray:
     """Rows M(alpha, p, q) and M(alpha, q, p) for the rows p, q of pairs, alpha > 0."""
     ok = np.isfinite(pairs).all(axis=0)
     if not ok.all():
         i = int(np.argmin(ok))
         p, q = pairs[:, i].tolist()
         raise ParameterError(f"a and b must be finite, got {p!r}, {q!r}")
-    integer(2, nodes=nodes)
-    x, w = _leggauss(nodes)
+    x, w = _leggauss(_NODES)
     half = _SPREAD_SDS * alpha
     out = np.empty(pairs.shape)
     for start in range(0, pairs.shape[1], _BLOCK):
@@ -238,7 +237,7 @@ def _finite(alpha: float, m):
     return m
 
 
-def m_function(alpha: float, a: float, b: float, nodes: int = _NODES) -> float:
+def m_function(alpha: float, a: float, b: float) -> float:
     """M(alpha, a, b); the alpha = 0 limit is Phi(a + b) / (a + b)."""
     nonnegative(alpha=alpha)
     if a == 0.0 and b == 0.0:
@@ -249,16 +248,16 @@ def m_function(alpha: float, a: float, b: float, nodes: int = _NODES) -> float:
             raise ParameterError(f"a + b = {d!r}: the alpha -> 0 limit "
                                  "Phi(a+b)/(a+b) needs a finite nonzero sum")
         return float(ndtr(d) / d)
-    return float(_finite(alpha, _m_rows(alpha, np.array([[a], [b]], float), nodes)[0, 0]))
+    return float(_finite(alpha, _m_rows(alpha, np.array([[a], [b]], float))[0, 0]))
 
 
-def _mixture(alpha, spot, drift, root, discounted, sigma, nodes):
+def _mixture(alpha, spot, drift, root, discounted, sigma):
     """Calls under dispersion alpha > 0: S (a M(a,b) + b M(b,a))
     - K e^(-r tau) (a M(a,-b) - b M(-b,a)), one kernel pass for the mirrored
     pairs (a, b) and (a, -b); each leg's coefficient is its first argument."""
     a, b = _ab(drift, root, sigma)
     pq = np.stack((np.concatenate([a, a]), np.concatenate([b, -b])))
-    m = _m_rows(alpha, pq, nodes)
+    m = _m_rows(alpha, pq)
     m[(pq == 0.0) & ~np.isfinite(m)] = 0.0  # a leg with coefficient 0 adds exactly 0
     legs = (pq * _finite(alpha, m)).reshape(2, 2, -1)
     return spot * (legs[0, 0] + legs[1, 0]) - discounted * (legs[0, 1] + legs[1, 1])
@@ -298,12 +297,12 @@ def black_scholes(opt: OptionInputs) -> float:
     return float(_bs(opt.spot, *_contract(opt), opt.sigma_t)[0])
 
 
-def price(opt: OptionInputs, disp: VolDispersion, nodes: int = _NODES) -> float:
+def price(opt: OptionInputs, disp: VolDispersion) -> float:
     """Call value under a lognormal vol mixture of dispersion disp.alpha."""
     terms = _contract(opt)
     if disp.alpha == 0.0:
         return float(_bs(opt.spot, *terms, opt.sigma_t)[0])
-    return float(_mixture(disp.alpha, opt.spot, *terms, opt.sigma_t, nodes)[0])
+    return float(_mixture(disp.alpha, opt.spot, *terms, opt.sigma_t)[0])
 
 
 def implied_vol(target_price: float, opt: OptionInputs) -> float:
@@ -331,7 +330,7 @@ def smile_surface(model: ModelParams, sigma_t: float,
                   moneyness: np.ndarray | None = None,
                   taus: np.ndarray | None = None,
                   spot: float = 1.0, rate: float = 0.001,
-                  alpha: float | None = None, nodes: int = _NODES) -> SmileSurface:
+                  alpha: float | None = None) -> SmileSurface:
     """Price, implied vol and deviation from Black-Scholes over a grid.
 
     moneyness is S/K at fixed spot; the defaults cover S/K in [0.5, 1.5]
@@ -363,7 +362,7 @@ def smile_surface(model: ModelParams, sigma_t: float,
     terms = _terms(spot, np.repeat(strikes, shape[1]).tolist(), rate,
                    np.tile(tgrid, shape[0]).tolist())
     bs = _bs(spot, *terms, sigma_t)
-    value = bs if disp.alpha == 0.0 else _mixture(disp.alpha, spot, *terms, sigma_t, nodes)
+    value = bs if disp.alpha == 0.0 else _mixture(disp.alpha, spot, *terms, sigma_t)
     vols = _implied_vols(value, spot, *terms, lambda i: (
         f"smile point moneyness={float(mgrid[i // shape[1]])!r}, "
         f"tau={float(tgrid[i % shape[1]])!r}, alpha={float(disp.alpha)!r}: "))

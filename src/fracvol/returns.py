@@ -25,6 +25,7 @@ _NODES = 256  # Gauss-Legendre nodes over log sigma
 _HALFWIDTH_SDS = 12.0  # half-width of the log-sigma window, in its sds
 _GRID_POINTS = 513  # points of return_grid
 _GRID_SPAN_SDS = 8.0  # its half-width, in return sds
+_TAIL_LAMBDAS = (1e3, 1e5, 40)  # the geometric lambda grid of calibrate_tail_prefactor
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,8 @@ def _gaussian_pdf(x, mean, sd):
     return kernel / (sd * _SQRT_2PI)
 
 
-def _mixture_nodes(params: ReturnDistParams, nodes: int, halfwidth_sds: float):
+def _mixture_nodes(params: ReturnDistParams):
     """Nodes e^u and weights of the log-vol quadrature; e^beta alone at k = 0."""
-    integer(1, nodes=nodes)
-    positive(halfwidth_sds=halfwidth_sds)
     if params.k == 0.0:
         return np.array([params.theta]), np.ones(1)
     s = params.sigma_logvol
@@ -85,9 +84,9 @@ def _mixture_nodes(params: ReturnDistParams, nodes: int, halfwidth_sds: float):
         if not np.isfinite(1.0 / (s * _SQRT_2PI)):  # s is subnormal or 0
             raise ParameterError(f"k={params.k!r} puts the peak log-vol density 1/(k "
                                  "delta^(H-1) sqrt(2 pi)) past the float range; raise k")
-    x, w = _leggauss(nodes)
-    u = params.beta + halfwidth_sds * s * x
-    weights = w * halfwidth_sds * s * _gaussian_pdf(u, params.beta, s)
+    x, w = _leggauss(_NODES)
+    u = params.beta + _HALFWIDTH_SDS * s * x
+    weights = w * _HALFWIDTH_SDS * s * _gaussian_pdf(u, params.beta, s)
     with np.errstate(over="ignore"):  # the overflow is what is checked
         sigma = np.exp(u)
     if not np.isfinite(sigma[-1]):  # the top node
@@ -125,27 +124,25 @@ def _density_moments(params: ReturnDistParams, sigma, peak: bool = False):
     return mean, sd
 
 
-def pdf(r, params: ReturnDistParams, nodes: int = _NODES,
-        halfwidth_sds: float = _HALFWIDTH_SDS):
+def pdf(r, params: ReturnDistParams):
     """Density of the return over params.lag; r may be an array.
 
-    The mixture integral runs over log sigma within halfwidth_sds standard
-    deviations of beta with a fixed Gauss-Legendre rule. The default width
-    covers the saddle point of returns out to lambda ~ 1e6, far beyond where
-    the density underflows.
+    The mixture integral runs over log sigma within 12 standard deviations
+    of beta with a fixed 256-node Gauss-Legendre rule. That width covers the
+    saddle point of returns out to lambda ~ 1e6, far beyond where the
+    density underflows.
     """
     r_arr = np.asarray(r, dtype=float)
-    sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
+    sigma, weights = _mixture_nodes(params)
     mean, sd = _density_moments(params, sigma, peak=True)
     out = _gaussian_pdf(r_arr[..., None], mean, sd) @ weights
     return out if out.ndim else float(out)
 
 
-def cdf(r, params: ReturnDistParams, nodes: int = _NODES,
-        halfwidth_sds: float = _HALFWIDTH_SDS):
+def cdf(r, params: ReturnDistParams):
     """Mixture CDF, the same quadrature as pdf."""
     r_arr = np.asarray(r, dtype=float)
-    sigma, weights = _mixture_nodes(params, nodes, halfwidth_sds)
+    sigma, weights = _mixture_nodes(params)
     mean, sd = _density_moments(params, sigma)
     out = ndtr(_standard(r_arr[..., None], mean, sd)) @ weights
     # weights integrate the truncated Gaussian; renormalize so cdf(+inf) -> 1
@@ -221,10 +218,9 @@ def tail_asymptotic(r, params: ReturnDistParams, prefactor: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def calibrate_tail_prefactor(params: ReturnDistParams, lam_lo: float = 1e3,
-                             lam_hi: float = 1e5, n: int = 40) -> float:
-    """Constant matching the tail form to the quadrature pdf on average."""
-    lam = np.geomspace(lam_lo, lam_hi, n)
+def calibrate_tail_prefactor(params: ReturnDistParams) -> float:
+    """Constant matching the tail form to the quadrature pdf over _TAIL_LAMBDAS."""
+    lam = np.geomspace(*_TAIL_LAMBDAS)
     r = return_for_lambda(lam, params)
     ratio = np.log(pdf(r, params)) - np.log(tail_asymptotic(r, params))
     return float(np.exp(np.mean(ratio)))

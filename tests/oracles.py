@@ -25,6 +25,18 @@ def excess_kurtosis(x) -> float:
     return float(stats.kurtosis(np.asarray(x, dtype=float), fisher=True, bias=True))
 
 
+def fbm_covariance(s, t, hurst: float):
+    """cov(B(s), B(t)) = (|t|^(2H) + |s|^(2H) - |t - s|^(2H)) / 2 of fractional
+    Brownian motion, straight from its definition; s and t broadcast and may
+    be negative (the two-sided process). The fGn autocovariance is checked
+    against its increments."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    two_h = 2.0 * hurst
+    out = 0.5 * (np.abs(t) ** two_h + np.abs(s) ** two_h - np.abs(t - s) ** two_h)
+    return out if out.ndim else float(out)
+
+
 def fgn_durbin_levinson(n: int, hurst: float, rng: np.random.Generator,
                         n_paths: int) -> np.ndarray:
     """(n_paths, n) unit-spacing fGn from the exact sequential recursion.

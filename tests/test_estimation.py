@@ -26,21 +26,11 @@ def test_constant_vol_variance_unbiased():
 
 
 def test_debias_factor_is_exact():
-    x = _walk(0.1, 500, 1)
-    raw = induced_volatility(x, 21, debias=False)
-    fixed = induced_volatility(x, 21, debias=True)
-    np.testing.assert_allclose(fixed, raw * np.sqrt(6 * 21 / 22), rtol=1e-12)
-
-
-def test_detrend_removes_linear_drift():
-    x = _walk(0.02, 60000, 42)
-    drift = 0.01 * np.arange(60000)
-    plain = induced_volatility(x + drift, 21)
-    det = induced_volatility(x + drift, 21, detrend=True)
-    det0 = induced_volatility(x, 21, detrend=True)
-    assert plain.mean() > 1.3 * 0.02
-    # algebraically exact; tolerance covers cumsum cancellation only
-    np.testing.assert_allclose(det, det0, rtol=0.02)
+    # the output is the raw window variance over the window length, times 6w/(w+1)
+    x, w, dt = _walk(0.1, 500, 1), 21, 0.5
+    raw = np.array([np.var(x[i:i + w], ddof=1) for i in range(len(x) - w + 1)]) / (w * dt)
+    np.testing.assert_allclose(induced_volatility(x, w, dt) ** 2, raw * 6 * w / (w + 1),
+                               rtol=1e-10)
 
 
 def test_induced_volatility_validation():
@@ -78,8 +68,10 @@ def test_decompose_reconstructs_exactly():
 
 def test_default_scaling_lags():
     np.testing.assert_array_equal(default_scaling_lags(1024), [1, 2, 4, 8, 16])
-    with pytest.raises(InsufficientDataError):
-        default_scaling_lags(100)
+    np.testing.assert_array_equal(default_scaling_lags(512), [1, 2, 4, 8])
+    for short in (100, 511):
+        with pytest.raises(InsufficientDataError):
+            default_scaling_lags(short)
 
 
 def test_scaling_exponent_on_known_processes():
@@ -92,6 +84,9 @@ def test_scaling_exponent_on_known_processes():
     assert h_w == pytest.approx(0.5, abs=0.07)
     with pytest.raises(InsufficientDataError):
         scaling_exponent(walk[:16], lags=[1, 2, 4])
+    # integer lags outside [1, n) are dropped, however large
+    assert scaling_exponent(walk, [0, 1, 2, 4, 8, 2**15, 2**70]) == scaling_exponent(
+        walk, np.array([1, 2, 4, 8], dtype=np.int32))
     with pytest.raises(InsufficientDataError):
         scaling_exponent(np.zeros(4096))
 
@@ -167,6 +162,7 @@ def test_report_rejects_non_finite_prices(bad):
 
 def test_uniform_step_is_the_grid_rule_of_an_ingested_series():
     assert uniform_step([0.0, 0.5, 1.0, 1.5]) == 0.5
+    assert uniform_step([0.0, 0.5]) == 0.5  # the shortest grid
     assert uniform_step(np.arange(1000) * 0.1) == 0.1  # steps within 1e-9 relative
     with pytest.raises(GridMismatchError,
                        match=r"^time grid must be uniform; step 2 is 1\.5 vs 1\.0$"):

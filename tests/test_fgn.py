@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from oracles import fgn_durbin_levinson
+from oracles import fbm_covariance, fgn_durbin_levinson
 
 from fracvol import fgn
 from fracvol.errors import GenerationError, ParameterError
 from fracvol.fgn import (FgnSeries, _circulant_eigenvalues, _sample_unit_fgn,
-                         fbm_covariance, fbm_from_fgn, fgn_autocovariance,
-                         generate_fgn)
+                         fbm_from_fgn, fgn_autocovariance, generate_fgn)
 from fracvol.rng import substream
 from fracvol.simulate import ModelParams, path_ensemble, simulate_path
 

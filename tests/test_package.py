@@ -3,6 +3,7 @@ defining module holds, however it is reached."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import math
 import os
 import pkgutil
@@ -108,6 +109,33 @@ def test_cli_raises_nothing():
     raise, belongs to the module that owns the decision."""
     tree = ast.parse((Path(fracvol.__file__).parent / "cli.py").read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)] == []
+
+
+# the parameters of the entry points whose quadrature sizes, windows and
+# report lags are fixed module constants, not keywords
+_SIGNATURES = {
+    "pricing.m_function": ["alpha", "a", "b"],
+    "pricing.price": ["opt", "disp"],
+    "pricing.smile_surface": ["model", "sigma_t", "moneyness", "taus", "spot", "rate",
+                              "alpha"],
+    "returns.pdf": ["r", "params"],
+    "returns.cdf": ["r", "params"],
+    "returns.calibrate_tail_prefactor": ["params"],
+    "estimation.induced_volatility": ["log_prices", "window", "dt"],
+    "estimation.estimate_report": ["prices", "dt", "window", "delta", "scaling_lags"],
+}
+
+
+@pytest.mark.parametrize("name", _SIGNATURES)
+def test_fixed_numerics_take_no_keyword(name):
+    module, function = name.split(".")
+    func = getattr(importlib.import_module(f"fracvol.{module}"), function)
+    assert list(inspect.signature(func).parameters) == _SIGNATURES[name]
+
+
+def test_fbm_covariance_is_a_test_oracle_only():
+    from fracvol import fgn
+    assert not hasattr(fgn, "fbm_covariance")
 
 
 # what tests/oracles.py may import from the package: state containers, event

@@ -13,14 +13,13 @@ from fracvol.agents import (EvolutionParams, ExperimentConfig, ImpactParams,
 from fracvol.errors import (MAX_CELLS, GenerationError, GridMismatchError,
                             ParameterError, finite, grid_ratio, integer, nonnegative,
                             one_of, positive, within_cells)
-from fracvol.estimation import (estimate_report, induced_volatility,
-                                integrated_logvol_decompose, leverage)
+from fracvol.estimation import (autocorrelation, estimate_report, induced_volatility,
+                                integrated_logvol_decompose, leverage, scaling_exponent)
 from fracvol.fgn import check_hurst, fgn_autocovariance, generate_fgn
 from fracvol.lob import LobParams
 from fracvol.pricing import (OptionInputs, VolDispersion, m_function,
-                             mean_variance_fit, monte_carlo_price, price,
-                             smile_surface)
-from fracvol.returns import (ReturnDistParams, cdf, central_return, pdf,
+                             mean_variance_fit, monte_carlo_price, smile_surface)
+from fracvol.returns import (ReturnDistParams, central_return, pdf,
                              return_for_lambda, sample_returns, tail_lambda)
 from fracvol.simulate import (MarketPath, ModelParams, calibrated_kprime,
                               identified_return_ensemble, path_ensemble,
@@ -78,6 +77,16 @@ MODEL = ModelParams()
 OPT = OptionInputs(spot=1.0, strike=1.0, rate=0.001, sigma_t=0.01, tau=20.0)
 RDP = ReturnDistParams()
 PRICES = simulate_path(MODEL, 1500, 1.0, seed=3).prices
+NORMAL = np.random.default_rng(0).standard_normal(2000)
+R_SIGMA = np.cumsum(NORMAL)
+
+
+def _with(x, value, at=100):
+    """A copy of x with x[at] = value."""
+    y = x.copy()
+    y[at] = value
+    return y
+
 
 # (entry point, bad value) pairs; at the parent design each of these either
 # raised something other than ParameterError or was silently accepted
@@ -101,22 +110,40 @@ BAD_CALLS = {
     "estimate_report-window-21.5": lambda: estimate_report(PRICES, window=21.5),
     "estimate_report-dt-None": lambda: estimate_report(PRICES, dt=None),
     "estimate_report-delta-str": lambda: estimate_report(PRICES, delta="1"),
-    "estimate_report-max_lag-2.5": lambda: estimate_report(PRICES, max_lag=2.5),
-    "estimate_report-max_lag-0": lambda: estimate_report(PRICES, max_lag=0),
-    "estimate_report-acf_lags-2.5": lambda: estimate_report(PRICES, acf_lags=2.5),
     "integrated_logvol_decompose-delta-None":
         lambda: integrated_logvol_decompose(np.ones(10), delta=None),
     "leverage-max_lag-2.5": lambda: leverage(np.ones(50), 2.5),
+    # a non-finite entry gave NaN estimates, or a RuntimeWarning for +inf
+    "induced_volatility-nan": lambda: induced_volatility(_with(NORMAL, math.nan), 21),
+    "induced_volatility-inf": lambda: induced_volatility(_with(NORMAL, math.inf), 21),
+    "scaling_exponent-nan": lambda: scaling_exponent(_with(R_SIGMA, math.nan)),
+    "scaling_exponent-inf": lambda: scaling_exponent(_with(R_SIGMA, math.inf)),
+    "leverage-nan": lambda: leverage(_with(NORMAL, math.nan), 3),
+    "leverage-inf": lambda: leverage(_with(NORMAL, math.inf), 3),
+    "autocorrelation-nan": lambda: autocorrelation(_with(NORMAL, math.nan), [1, 2]),
+    "autocorrelation-inf": lambda: autocorrelation(_with(NORMAL, math.inf), [1, 2]),
+    "integrated_logvol_decompose-inf":
+        lambda: integrated_logvol_decompose(_with(np.ones(200), math.inf)),
+    # a lag that is not an integer was truncated, or escaped as a raw
+    # ValueError or OverflowError
+    "autocorrelation-lags-1.5": lambda: autocorrelation(NORMAL, [1.5, 2.7]),
+    "autocorrelation-lags-nan": lambda: autocorrelation(NORMAL, [1, math.nan]),
+    "autocorrelation-lags-2**70": lambda: autocorrelation(NORMAL, [1, 2**70]),
+    "scaling_exponent-lags-1.5":
+        lambda: scaling_exponent(R_SIGMA, [1.5, 2.5, 4.5, 8.5, 16.5]),
+    "scaling_exponent-lags-inf": lambda: scaling_exponent(R_SIGMA, [1, 2, 4, 8, math.inf]),
+    "estimate_report-scaling_lags-1.5":
+        lambda: estimate_report(PRICES, scaling_lags=[1.5, 2.5, 4.5, 8.5]),
+    "ExperimentConfig-scaling_lags-1.5":
+        lambda: ExperimentConfig(scaling_lags=(1.5, 2.5, 4.5, 8.5)),
+    "ExperimentConfig-scaling_lags-nan": lambda: ExperimentConfig(scaling_lags=(1, math.nan)),
     "OptionInputs-spot-None": lambda: OptionInputs(None, 1.0, 0.0, 0.1, 1.0),
     "VolDispersion-alpha-None": lambda: VolDispersion(None),
     "from_model-horizon-str": lambda: VolDispersion.from_model(MODEL, horizon="5"),
     "mean_variance_fit-tau-None": lambda: mean_variance_fit(MODEL, None),
     "monte_carlo_price-n_paths-1": lambda: monte_carlo_price(OPT, MODEL, n_paths=1),
     "monte_carlo_price-n_paths-2.5": lambda: monte_carlo_price(OPT, MODEL, n_paths=2.5),
-    "price-nodes-2.5": lambda: price(OPT, VolDispersion(0.3), nodes=2.5),
     "m_function-alpha-None": lambda: m_function(None, 0.5, 0.3),
-    "m_function-nodes-16.0": lambda: m_function(0.3, 0.5, 0.3, nodes=16.0),
-    "smile_surface-nodes-64.0": lambda: smile_surface(MODEL, 0.01, nodes=64.0),
     # a non-finite moneyness named the strike spot/moneyness
     "smile_surface-moneyness-nan":
         lambda: smile_surface(MODEL, 0.01, moneyness=np.array([np.nan, 1.0])),
@@ -125,9 +152,6 @@ BAD_CALLS = {
     "ReturnDistParams-beta-None": lambda: ReturnDistParams(beta=None),
     "ReturnDistParams-mu-None": lambda: ReturnDistParams(mu=None),
     "ReturnDistParams-k-str": lambda: ReturnDistParams(k="0.5"),
-    "pdf-nodes-2.5": lambda: pdf(0.0, RDP, nodes=2.5),
-    "pdf-halfwidth_sds-0": lambda: pdf(0.0, RDP, halfwidth_sds=0.0),
-    "cdf-halfwidth_sds-nan": lambda: cdf(0.0, RDP, halfwidth_sds=math.nan),
     "sample_returns-n-2.5": lambda: sample_returns(RDP, 2.5),
     "strategy_decode-3.7": lambda: strategy_decode(3.7),
     "from_counts-count-2.5": lambda: Population.from_counts([(72, 2.5)]),
@@ -181,8 +205,6 @@ def test_numpy_integer_counts_accepted():
     np.testing.assert_array_equal(a.prices, b.prices)
     assert generate_fgn(n(32), 0.7).values.tolist() == generate_fgn(32, 0.7).values.tolist()
     assert strategy_decode(n(72)) == strategy_decode(72)
-    assert price(OPT, VolDispersion(0.3), nodes=n(64)) == price(OPT, VolDispersion(0.3),
-                                                                nodes=64)
 
 
 def test_finite_logvol_scale_still_accepted():

@@ -99,8 +99,6 @@ def test_parameter_errors():
     with pytest.raises(ParameterError):
         pdf(0.0, ReturnDistParams(hurst=1.5))
     with pytest.raises(ParameterError):
-        pdf(0.0, ReturnDistParams(), nodes=0)
-    with pytest.raises(ParameterError):
         sample_returns(ReturnDistParams(), 0)
     p = ReturnDistParams()
     with pytest.raises(OutOfRegimeError):
