@@ -25,7 +25,7 @@ from .errors import (Checked, GenerationError, ParameterError, finite, integer, 
                      one_of, positive, within_cells)
 from .estimation import (WINDOW, EstimationReport, estimate_report, integer_lags,
                          pipeline_logvol)
-from .rng import _ABM_STREAM, substream
+from .rng import _ABM_STREAM, SEEDS, substream
 from .simulate import MarketPath
 
 STEP_F = "step"
@@ -340,6 +340,7 @@ class ExperimentConfig(Checked):
 
     def validate(self) -> None:
         integer(1, n_steps=self.n_steps)
+        integer(*SEEDS, seed=self.seed)
         within_cells(n_steps=self.n_steps)
         integer(8, window=self.window)
         if self.scaling_lags is not None:

@@ -7,8 +7,8 @@ one-line JSON run summary (command, seed, wall_time, output) to stdout.
 Exit codes: 0 success, 1 domain error (bad parameters or data, or a size
 that cannot be allocated, reported as one JSON line on stderr), 2 usage
 error. Artifacts are byte-identical across runs with the same arguments.
-Each handler imports its own module: only pdf, price and smile load
-scipy; the other commands need numpy only.
+Each handler imports its own module, and none loads a scipy package
+module: pdf, price and smile load scipy's one ufunc extension alone.
 
 The abm command reads an optional key = value config file, in the format
 that agents.read_config documents; --steps and --seed override the file.

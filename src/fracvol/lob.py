@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (Checked, GenerationError, ParameterError, integer, one_of, positive,
                      within_cells)
 from .estimation import WINDOW, induced_volatility, pipeline_logvol
-from .rng import _LOB_STREAM, substream
+from .rng import _LOB_STREAM, SEEDS, substream
 from .simulate import MarketPath
 
 LIMIT_ASK, LIMIT_BID, MARKET_BUY, MARKET_SELL = 0, 1, 2, 3
@@ -80,6 +80,7 @@ class LobParams(Checked):
     def validate(self) -> None:
         integer(1, _MAX_HALF_WIDTH, half_width=self.half_width)
         integer(1, steps=self.steps)
+        integer(*SEEDS, seed=self.seed)
         within_cells(steps=self.steps)
         positive(order_size=self.order_size, slot_size=self.slot_size,
                  initial_price=self.initial_price)

@@ -30,12 +30,11 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf, erfc, ndtr
 
 from .errors import (Checked, GridMismatchError, NoSolutionError, ParameterError, finite,
                      grid_ratio, integer, nonnegative, positive)
 from .fgn import fgn_autocovariance
-from .returns import _leggauss
+from .returns import _leggauss, erf, erfc, ndtr
 from .simulate import ModelParams, logvol_marginal_moments, path_ensemble
 
 _SQRT2 = math.sqrt(2.0)
@@ -276,20 +275,51 @@ def _implied_vols(target, spot, drift, root, discounted, label) -> np.ndarray:
         reason = (f"outside the no-arbitrage band ({float(intrinsic[i])!r}, "
                   f"{float(spot)!r})" if band[i] else f"needs volatility above {_IV_HI}")
         raise NoSolutionError(f"{label(i)}target price {float(target[i])!r} {reason}")
-    # a point that stops is frozen at lo = hi = mid, so it keeps that mid;
-    # band-edge points start frozen at the bracket floor
-    lo = np.full(target.shape, _IV_LO)
-    hi = np.where(edge, _IV_LO, _IV_HI)
+    # unchecked: mid lies inside the bracket whose ends passed _bs's check
+    return _bisect(lambda mid: _call(spot, discounted, drift / mid, 0.5 * mid * root) - target,
+                   np.full(target.shape, _IV_LO), np.where(edge, _IV_LO, _IV_HI), _IV_TOL)
+
+
+def _bisect(excess, lo, hi, tol):
+    """Bisection of each point's increasing excess(mid) to |excess| <= tol or a 1e-15
+    bracket; a point that stops (or starts with lo = hi) is frozen at lo = hi = mid."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        # unchecked: mid lies inside the bracket whose ends passed _bs's check
-        diff = _call(spot, discounted, drift / mid, 0.5 * mid * root) - target
-        stop = (np.abs(diff) <= _IV_TOL) | (hi - lo <= 1e-15)
+        diff = excess(mid)
+        stop = (np.abs(diff) <= tol) | (hi - lo <= 1e-15)
         if stop.all():
             return mid
         below = diff < 0
         lo, hi = np.where(stop | below, mid, lo), np.where(stop | ~below, mid, hi)
     return 0.5 * (lo + hi)
+
+
+def _put(spot, discounted, a, b):
+    """Black-Scholes put K e^(-r tau) Phi(b-a) - S Phi(-a-b), elementwise."""
+    return discounted * ndtr(b - a) - spot * ndtr(-a - b)
+
+
+def _put_vols(alpha, sigma_t, spot, drift, root, discounted, label) -> np.ndarray:
+    """Vols of the calls at or below intrinsic value S - K e^(-r tau) > 0: the
+    out-of-the-money put, the normalized sum w_i BS_put(sigma_t e^u_i) on the
+    M-kernel's nodes (one at alpha = 0), inverted against the Black-Scholes put by
+    bisection in log sigma (unchecked inside _ab's bracket) to 1e-12 relative."""
+    x, w = _leggauss(_NODES if alpha else 1)  # N(u; 0, alpha^2) at u = 8 alpha x
+    weights = w * np.exp(-0.5 * (_SPREAD_SDS * x) ** 2)
+    sigma = sigma_t * np.exp(_SPREAD_SDS * alpha * x)
+    with np.errstate(over="ignore", divide="ignore"):  # a = +inf: the put is 0
+        a, b = drift[:, None] / sigma, 0.5 * sigma * root[:, None]
+    target = _put(spot, discounted[:, None], a, b) @ weights / weights.sum()
+    lo, hi = (_put(spot, discounted, *_ab(drift, root, v)) for v in (_IV_LO, _IV_HI))
+    bad = ~((lo < target) & (target < hi))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NoSolutionError(f"{label(i)}out-of-the-money put price {float(target[i])!r} "
+                              f"has no volatility in [{_IV_LO}, {_IV_HI}]")
+    return np.exp(_bisect(lambda mid: _put(spot, discounted, drift / np.exp(mid),
+                                           0.5 * np.exp(mid) * root) - target,
+                          np.full(target.shape, math.log(_IV_LO)),
+                          np.full(target.shape, math.log(_IV_HI)), 1e-12 * target))
 
 
 def black_scholes(opt: OptionInputs) -> float:
@@ -336,7 +366,9 @@ def smile_surface(model: ModelParams, sigma_t: float,
     moneyness is S/K at fixed spot; the defaults cover S/K in [0.5, 1.5]
     and tau in [5, 100]. The whole grid goes through one array pass each
     for the price, the implied vols and Black-Scholes; every value equals
-    the scalar `price`, `implied_vol` and `black_scholes` at that point.
+    the scalar `price`, `implied_vol` and `black_scholes` at that point, but for
+    a call that round-off puts at or below intrinsic value S - K e^(-r tau) > 0,
+    with no `implied_vol`: its vol inverts the out-of-the-money put (_put_vols).
     """
     positive(spot=spot)
     disp = VolDispersion(alpha) if alpha is not None else VolDispersion.from_model(model)
@@ -344,12 +376,11 @@ def smile_surface(model: ModelParams, sigma_t: float,
     tgrid = np.linspace(5.0, 100.0, 20) if taus is None else np.asarray(taus, float)
     if mgrid.ndim != 1 or tgrid.ndim != 1 or mgrid.size == 0 or tgrid.size == 0:
         raise ParameterError("moneyness and taus must be nonempty 1-d grids")
-    bad = ~(np.isfinite(mgrid) & (mgrid > 0))
-    if bad.any():
-        raise ParameterError(
-            f"moneyness must be positive and finite, got {float(mgrid[bad.argmax()])!r}")
-    if np.any(tgrid <= 0):
-        raise ParameterError("taus must be positive")
+    for name, grid in (("moneyness", mgrid), ("taus", tgrid)):
+        bad = ~(np.isfinite(grid) & (grid > 0))
+        if bad.any():
+            raise ParameterError(
+                f"{name} must be positive and finite, got {float(grid[bad.argmax()])!r}")
     with np.errstate(over="ignore"):  # the overflow is what is checked
         strikes = spot / mgrid
     if np.isinf(strikes).any():
@@ -363,9 +394,16 @@ def smile_surface(model: ModelParams, sigma_t: float,
                    np.tile(tgrid, shape[0]).tolist())
     bs = _bs(spot, *terms, sigma_t)
     value = bs if disp.alpha == 0.0 else _mixture(disp.alpha, spot, *terms, sigma_t)
-    vols = _implied_vols(value, spot, *terms, lambda i: (
-        f"smile point moneyness={float(mgrid[i // shape[1]])!r}, "
-        f"tau={float(tgrid[i % shape[1]])!r}, alpha={float(disp.alpha)!r}: "))
+
+    def label(i):  # the error prefix of grid point i
+        return (f"smile point moneyness={float(mgrid[i // shape[1]])!r}, "
+                f"tau={float(tgrid[i % shape[1]])!r}, alpha={float(disp.alpha)!r}: ")
+
+    routed = (value <= spot - terms[2]) & (spot > terms[2])
+    keep, put = np.flatnonzero(~routed), np.flatnonzero(routed)
+    vols = np.empty(value.shape)
+    vols[keep] = _implied_vols(value[keep], spot, *terms[:, keep], lambda i: label(keep[i]))
+    vols[put] = _put_vols(disp.alpha, sigma_t, spot, *terms[:, put], lambda i: label(put[i]))
     return SmileSurface(moneyness=mgrid, taus=tgrid, price=value.reshape(shape),
                         implied_vol=vols.reshape(shape),
                         delta_vs_bs=(value - bs).reshape(shape))

@@ -9,16 +9,40 @@ exp(-log^2(lambda) / C), C = 8 k^2 delta^(2H-2), up to a slowly varying factor.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import OutOfRegimeError, ParameterError, integer, positive
 from .fgn import LogVolParams
 from .rng import substream
+
+
+def _special_ufuncs():
+    """scipy's erf, erfc and ndtr from its special/_special_ufuncs extension alone,
+    named for its init symbol, as the scipy.special package adds about 290 modules
+    to a fresh process; scipy.special's own where that file or a name is missing."""
+    spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "special", "_special_ufuncs" + suffix)
+            ext = importlib.util.spec_from_file_location("fracvol._special_ufuncs", path)
+            try:  # by an ExtensionFileLoader; a missing file raises ImportError too
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module.erf, module.erfc, module.ndtr
+            except (ImportError, AttributeError):
+                continue
+    from scipy.special import erf, erfc, ndtr
+    return erf, erfc, ndtr
+
+
+erf, erfc, ndtr = _special_ufuncs()
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _NODES = 256  # Gauss-Legendre nodes over log sigma
@@ -73,6 +97,15 @@ def _gaussian_pdf(x, mean, sd):
     with np.errstate(over="ignore"):  # z*z past the float range: exp(-inf) is an exact 0
         kernel = np.exp(-0.5 * z * z)
     return kernel / (sd * _SQRT_2PI)
+
+
+def _points(name: str, x) -> np.ndarray:
+    """x as a float array without NaN; +-inf stay, where pdf and cdf take their limits."""
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        index = int(np.isnan(arr).argmax())
+        raise ParameterError(f"{name} must not be nan, got nan at flat index {index}")
+    return arr
 
 
 def _mixture_nodes(params: ReturnDistParams):
@@ -132,7 +165,7 @@ def pdf(r, params: ReturnDistParams):
     saddle point of returns out to lambda ~ 1e6, far beyond where the
     density underflows.
     """
-    r_arr = np.asarray(r, dtype=float)
+    r_arr = _points("r", r)
     sigma, weights = _mixture_nodes(params)
     mean, sd = _density_moments(params, sigma, peak=True)
     out = _gaussian_pdf(r_arr[..., None], mean, sd) @ weights
@@ -141,7 +174,7 @@ def pdf(r, params: ReturnDistParams):
 
 def cdf(r, params: ReturnDistParams):
     """Mixture CDF, the same quadrature as pdf."""
-    r_arr = np.asarray(r, dtype=float)
+    r_arr = _points("r", r)
     sigma, weights = _mixture_nodes(params)
     mean, sd = _density_moments(params, sigma)
     out = ndtr(_standard(r_arr[..., None], mean, sd)) @ weights
@@ -185,16 +218,14 @@ def return_grid(params: ReturnDistParams) -> np.ndarray:
 
 def tail_lambda(r, params: ReturnDistParams):
     """lambda = (r - r0)^2 / (2 lag theta^2), the squared scaled distance."""
-    r_arr = np.asarray(r, dtype=float)
-    out = (r_arr - central_return(params)) ** 2 / (
-        2.0 * params.lag * params.theta**2
-    )
+    r_arr = _points("r", r)
+    out = (r_arr - central_return(params)) ** 2 / (2.0 * params.lag * params.theta**2)
     return out if out.ndim else float(out)
 
 
 def return_for_lambda(lam, params: ReturnDistParams):
     """The positive-side return at a given tail variable lambda."""
-    lam_arr = np.asarray(lam, dtype=float)
+    lam_arr = _points("lam", lam)
     out = central_return(params) + np.sqrt(2.0 * params.lag * params.theta**2 * lam_arr)
     return out if out.ndim else float(out)
 
@@ -213,8 +244,7 @@ def tail_asymptotic(r, params: ReturnDistParams, prefactor: float = 1.0):
                                f"as {lam.min():.3g}")
     log_lam = np.log(lam)
     out = prefactor * (params.lag * lam) ** -0.5 * np.exp(
-        -log_lam * log_lam / params.tail_coefficient
-    )
+        -log_lam * log_lam / params.tail_coefficient)
     return out if out.ndim else float(out)
 
 

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import integer
+
 _MASK64 = (1 << 64) - 1
+# a seed is a 64-bit word read signed or unsigned; 2**64 or 1.5 would alias 0 or 1
+SEEDS = (-(1 << 63), _MASK64)
 
 # The substream ids, one table so they stay distinct: the model's volatility and
 # price drivers, their per-chunk ensemble variants, the agent market, the book.
@@ -25,6 +29,7 @@ def substream(seed: int, *stream: int) -> np.random.Generator:
     ids are folded into two words: seed in the low word, the mixed stream ids
     in the high word.
     """
+    integer(*SEEDS, seed=seed)
     key_hi = 0
     for part in stream:
         # splitmix64-style mixing so (a, b) and (b, a) land on different keys

@@ -530,7 +530,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     proc = _fresh_python(f"import fracvol, sys; print({_LOADED_SCIPY})", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # simulate, estimate, lob and abm (either signal rule) need numpy only
+    # simulate, estimate, lob and abm (either signal rule) need numpy only;
+    # pdf, price and smile load scipy's ufunc extension alone, no scipy module
     (tmp_path / "step.cfg").write_text("steps = 600\n")
     (tmp_path / "logistic.cfg").write_text("steps = 600\nf_choice = logistic\n")
     runs = [
@@ -539,6 +540,9 @@ def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
         ["lob", "--steps", "600", "--out", "lob.csv"],
         ["abm", "--config", "step.cfg", "--out", "step.csv"],
         ["abm", "--config", "logistic.cfg", "--out", "logistic.csv"],
+        ["pdf", "--out", "pdf.csv"],
+        ["price", "--out", "price.json"],
+        ["smile", "--out", "smile.csv"],
     ]
     for argv in runs:
         proc = _fresh_python(

@@ -111,6 +111,19 @@ def test_cli_raises_nothing():
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)] == []
 
 
+def test_only_returns_imports_scipy():
+    """returns.py loads scipy's three ufuncs for the package (cold start: no
+    command loads a scipy package module); no other module imports scipy."""
+    importers = []
+    for path in sorted(Path(fracvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["returns.py"]
+
+
 # the parameters of the entry points whose quadrature sizes, windows and
 # report lags are fixed module constants, not keywords
 _SIGNATURES = {

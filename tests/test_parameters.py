@@ -17,6 +17,7 @@ from fracvol.estimation import (autocorrelation, estimate_report, induced_volati
                                 integrated_logvol_decompose, leverage, scaling_exponent)
 from fracvol.fgn import check_hurst, fgn_autocovariance, generate_fgn
 from fracvol.lob import LobParams
+from fracvol.rng import substream
 from fracvol.pricing import (OptionInputs, VolDispersion, m_function,
                              mean_variance_fit, monte_carlo_price, smile_surface)
 from fracvol.returns import (ReturnDistParams, central_return, pdf,
@@ -189,6 +190,17 @@ BAD_CALLS = {
         times=[0.0, 1.0], prices=[1, -1], logvol=[0.0, 0.0], seed=0).validate(),
     "calibrated_kprime-dt-nan": lambda: calibrated_kprime(MODEL, math.nan, 512),
     "calibrated_kprime-history-2.5": lambda: calibrated_kprime(MODEL, 1.0, 2.5),
+    # a seed that is not an integer, or that wraps onto another seed's key
+    "substream-seed-1.5": lambda: substream(1.5),
+    "substream-seed-nan": lambda: substream(math.nan),
+    "substream-seed-2**64": lambda: substream(2**64),
+    "substream-seed-below-int64": lambda: substream(-2**63 - 1),
+    "generate_fgn-seed-2**64": lambda: generate_fgn(8, 0.7, seed=2**64),
+    "simulate_path-seed-1.5": lambda: simulate_path(MODEL, 8, 1.0, seed=1.5),
+    "LobParams-seed-1.5": lambda: LobParams(seed=1.5),
+    "ExperimentConfig-seed-1.5": lambda: ExperimentConfig(seed=1.5),
+    "smile_surface-taus-nan":
+        lambda: smile_surface(MODEL, 0.01, taus=np.array([5.0, math.nan])),
 }
 
 
@@ -236,6 +248,22 @@ def test_price_below_float_range_is_a_generation_error():
         with pytest.raises(GenerationError,
                            match=r"log price -1e\+149 at step 1 \(seed 0\)"):
             run_experiment(cfg)
+
+
+def test_seeds_in_range_map_as_before():
+    # the key word is the seed mod 2**64, so -1 and 2**64 - 1 share a stream
+    assert substream(-1).random() == substream(2**64 - 1).random()
+    assert substream(np.uint64(2**64 - 1)).random() == substream(2**64 - 1).random()
+    assert substream(np.int64(-2**63)).random() == substream(2**63).random()
+    with pytest.raises(ParameterError, match=r"^seed must be an integer in "
+                                             r"\[-9223372036854775808, 18446744073709551615\], "
+                                             r"got 1\.5$"):
+        LobParams(seed=1.5)
+
+
+def test_nan_tau_is_named_as_a_float():
+    with pytest.raises(ParameterError, match=r"^taus must be positive and finite, got nan$"):
+        smile_surface(MODEL, 0.01, taus=np.array([5.0, math.nan]))
 
 
 @pytest.mark.parametrize("call, name", [

@@ -340,15 +340,36 @@ def test_pair_with_one_split_row_equals_reference():
 
 
 def test_no_solution_error_names_the_point():
+    # at sigma_t = 0.002 the out-of-the-money call at S/K = 0.5, and the put
+    # that stands in for the call at S/K = 1.5, underflow to 0
     with pytest.raises(NoSolutionError) as err:
-        smile_surface(ModelParams(), 0.01, alpha=0.1)
+        smile_surface(ModelParams(), 0.002, alpha=0.1)
     msg = str(err.value)
-    assert msg.startswith("smile point moneyness=1.25, tau=5.0, alpha=0.1: ")
-    assert "no-arbitrage band (0.20399001664585414, 1.0)" in msg
+    assert msg.startswith("smile point moneyness=0.5, tau=5.0, alpha=0.1: ")
+    assert msg.endswith("target price 0.0 outside the no-arbitrage band (0.0, 1.0)")
+    with pytest.raises(NoSolutionError) as err:
+        smile_surface(ModelParams(), 0.002, moneyness=[1.5], taus=[5.0], alpha=0.1)
+    assert str(err.value) == ("smile point moneyness=1.5, tau=5.0, alpha=0.1: out-of-the-"
+                              "money put price 0.0 has no volatility in [1e-08, 5.0]")
     opt = OptionInputs(np.float64(1.0), np.float64(2.0), 0.0, 0.01, np.float64(5.0))
     with pytest.raises(NoSolutionError) as err:
         implied_vol(np.float64(0.0), opt)
     assert str(err.value) == "target price 0.0 outside the no-arbitrage band (0.0, 1.0)"
+
+
+@pytest.mark.parametrize("alpha, routed", [(0.1, 14), (0.0, 22)])
+def test_smile_at_intrinsic_value_inverts_the_put(alpha, routed):
+    # deep in the money the call lands on or 1e-15 below S - K e^(-r tau),
+    # where no call vol exists; those points invert the out-of-the-money put
+    surf = smile_surface(ModelParams(), 0.01, alpha=alpha)
+    strikes, taus = np.meshgrid(1.0 / surf.moneyness, surf.taus, indexing="ij")
+    at = surf.price <= 1.0 - strikes * np.exp(-0.001 * taus)
+    assert at.sum() == routed and np.isfinite(surf.implied_vol).all()
+    for k, tau, value, vol in zip(strikes[at], taus[at], surf.price[at], surf.implied_vol[at]):
+        assert black_scholes(OptionInputs(1.0, k, 0.001, vol, tau)) == pytest.approx(
+            value, rel=0, abs=1e-14)
+    if alpha == 0.0:
+        np.testing.assert_allclose(surf.implied_vol[at], 0.01, rtol=1e-12)
 
 
 def test_dispersion_past_float_range_names_alpha():

@@ -1,11 +1,20 @@
-"""Return-distribution quadrature, sampler, and tail behavior."""
+"""Return-distribution quadrature, sampler, and tail behavior, and the
+scipy ufuncs that the package loads without the scipy.special package."""
+import importlib.machinery
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import fracvol
+from fracvol import returns
 from fracvol.errors import OutOfRegimeError, ParameterError
 from fracvol.returns import (ReturnDistParams, calibrate_tail_prefactor, cdf,
                              central_return, pdf, return_for_lambda, return_grid,
@@ -211,3 +220,85 @@ def test_return_grid_spans_eight_sds_about_the_centre():
     with pytest.raises(ParameterError, match=re.escape(
             "the return grid (sd inf) is past the float range; lower k or beta")):
         return_grid(ReturnDistParams(k=27.0))
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda p: pdf(np.nan, p), "r must not be nan, got nan at flat index 0"),
+    (lambda p: cdf([0.0, np.nan], p), "r must not be nan, got nan at flat index 1"),
+    (lambda p: pdf(np.array([[0.0, 1.0], [np.nan, 0.0]]), p),
+     "r must not be nan, got nan at flat index 2"),
+    (lambda p: tail_lambda([1.0, 2.0, np.nan], p), "r must not be nan, got nan at flat index 2"),
+    (lambda p: tail_asymptotic([1.0, np.nan], p), "r must not be nan, got nan at flat index 1"),
+    (lambda p: return_for_lambda([10.0, np.nan], p),
+     "lam must not be nan, got nan at flat index 1"),
+], ids=["pdf", "cdf", "pdf-2d", "tail_lambda", "tail_asymptotic", "return_for_lambda"])
+def test_nan_evaluation_point_is_named(call, text):
+    with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+        call(ReturnDistParams())
+
+
+def test_infinite_evaluation_points_are_the_limits():
+    p = ReturnDistParams()
+    assert pdf(np.inf, p) == 0.0 and pdf(-np.inf, p) == 0.0
+    low, high = cdf([-np.inf, np.inf], p)
+    assert low == 0.0 and high == pytest.approx(1.0, rel=0, abs=1e-15)
+
+
+# [-40, 40] in 200,001 steps, then the special values
+UFUNC_GRID = np.r_[np.linspace(-40.0, 40.0, 200_001),
+                   np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("name", ["erf", "erfc", "ndtr"])
+def test_loaded_ufuncs_equal_scipy_special_bit_for_bit(name):
+    ours, theirs = getattr(returns, name)(UFUNC_GRID), getattr(special, name)(UFUNC_GRID)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def _fake_scipy(root):
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(root)]
+    return lambda name: spec
+
+
+@pytest.mark.parametrize("case", ["no-scipy", "no-file", "bad-file"])
+def test_loader_falls_back_to_scipy_special(tmp_path, monkeypatch, case):
+    (tmp_path / "special").mkdir()
+    if case == "bad-file":  # found, but not a loadable extension
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "special" / f"_special_ufuncs{suffix}").write_bytes(b"not an ELF")
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        (lambda name: None) if case == "no-scipy" else _fake_scipy(tmp_path))
+    found = returns._special_ufuncs()
+    assert all(a is b for a, b in zip(found, (special.erf, special.erfc, special.ndtr)))
+
+
+_DIGEST = """
+import hashlib, sys
+import numpy as np
+from fracvol import pricing, returns
+grid = np.r_[np.linspace(-40.0, 40.0, 200_001), np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324]
+p = returns.ReturnDistParams()
+r = returns.return_grid(p)
+outputs = [returns.erf(grid), returns.erfc(grid), returns.ndtr(grid), returns.pdf(r, p),
+           returns.cdf(r, p), pricing.smile_surface(pricing.ModelParams(), 0.01).implied_vol]
+print(hashlib.sha256(b"".join(o.tobytes() for o in outputs)).hexdigest(),
+      "scipy.special" in sys.modules)
+"""
+
+
+def test_forced_fallback_gives_the_same_bits(tmp_path):
+    """A fresh process that cannot find scipy's location imports scipy.special
+    for the three ufuncs; its outputs are the loader's, bit for bit."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fracvol.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    lines = []
+    for prelude in ("", "import importlib.util; importlib.util.find_spec = lambda name: None"):
+        proc = subprocess.run([sys.executable, "-c", prelude + _DIGEST], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines.append(proc.stdout.split())
+    (loaded, direct), (fallback, imported) = lines
+    assert (direct, imported) == ("False", "True")
+    assert loaded == fallback
