@@ -167,6 +167,11 @@ def info_vector(misprice: float, trend: float, f_choice: str = STEP_F,
     With the step choice the vector is one-hot; the logistic choice blends
     the branches smoothly and approaches the step output as beta_f grows.
     """
+    finite(misprice=misprice, trend=trend)
+    return _info(misprice, trend, f_choice, beta_f)
+
+
+def _info(misprice: float, trend: float, f_choice: str, beta_f: float) -> np.ndarray:
     fm = _signal_weight(misprice, f_choice, beta_f)
     ft = _signal_weight(trend, f_choice, beta_f)
     return np.array([fm * ft, fm * (1.0 - ft), (1.0 - fm) * ft,
@@ -181,6 +186,7 @@ def _impact(omega: float, lambda0: float, lambda1: float, a: float) -> float:
 
 def market_impact(omega: float, impact: ImpactParams) -> float:
     """Log-price move caused by net order flow omega."""
+    finite(omega=omega)
     return _impact(omega, impact.lambda0, impact.lambda1, impact.alpha_exponent)
 
 
@@ -249,8 +255,8 @@ def _advance(env: MarketEnv, agents: Population, rng: np.random.Generator,
                 k = (0 if xi - z >= 0.0 else 2) + (0 if z - z_prev >= 0.0 else 1)
                 orders, move = rows[k], moves[k]
             else:
-                orders = unit_investment * (s @ info_vector(xi - z, z - z_prev, env.f_choice,
-                                                            env.beta_f))
+                orders = unit_investment * (s @ _info(xi - z, z - z_prev, env.f_choice,
+                                                      env.beta_f))
                 move = _impact(float(orders.sum()), *lam)
             z_prev, z = z, z + move + eta
             xi += dxi
@@ -347,6 +353,10 @@ class ExperimentConfig(Checked):
             integer_lags(self.scaling_lags, "scaling_lags")
         positive(unit_investment=self.unit_investment, price0=self.price0)
         finite(cash0=self.cash0, stock0=self.stock0)
+        # built to be checked: run_experiment builds both from these fields
+        MarketEnv(noise_sigma=self.noise_sigma, value_walk_sigma=self.value_walk_sigma,
+                  f_choice=self.f_choice, beta_f=self.beta_f)
+        Population.from_counts(self.population)
 
 
 # read_config's key -> (section, field name, default), for the fields whose

@@ -113,7 +113,7 @@ class LogvolDecomposition(NamedTuple):
     intercept: float
 
 
-def integrated_logvol_decompose(vol, delta: float = 1.0) -> LogvolDecomposition:
+def integrated_logvol_decompose(vol) -> LogvolDecomposition:
     """Split the cumulative log-volatility into trend plus residual.
 
     The cumulative sums of log vol are regressed on time in delta-step units
@@ -122,7 +122,6 @@ def integrated_logvol_decompose(vol, delta: float = 1.0) -> LogvolDecomposition:
     delta step; r_sigma holds the residuals, which have exactly zero mean.
     The fitted line plus r_sigma reconstructs the cumulative series exactly.
     """
-    positive(delta=delta)
     v = _finite_values("volatility", vol, positive=True)
     c = np.cumsum(np.log(v))
     t = np.arange(1.0, len(c) + 1.0)
@@ -256,7 +255,7 @@ def estimate_report(prices, dt: float = 1.0, window: int = WINDOW,
             f"volatility spacing delta={delta!r} is not an integer multiple of dt={dt!r}"
         )
     vol, n_floored = _floor_zeros(sigma[::step])
-    decomp = integrated_logvol_decompose(vol, delta)
+    decomp = integrated_logvol_decompose(vol)
     hurst_hat, hurst_stderr = scaling_exponent(decomp.r_sigma, scaling_lags)
     returns = np.diff(log_p)
     lev = leverage(returns, _LEVERAGE_LAGS)

@@ -79,8 +79,8 @@ def fgn_autocovariance(lag, hurst: float, spacing: float = 1.0):
     h = check_hurst(hurst)
     positive(spacing=spacing)
     k = np.asarray(lag, dtype=float)
-    if np.any(k < 0):
-        raise ParameterError("lag must be >= 0")
+    if not np.all((k >= 0) & (k < np.inf)):
+        raise ParameterError("lag must be finite and >= 0")
     two_h = 2.0 * h
     out = 0.5 * spacing**two_h * (
         np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h

@@ -8,7 +8,8 @@ collapses to a single integral against the M-function
         * int_0^inf dx exp(-log^2 x / (2 alpha^2)) erfc(-c/sqrt(2)) / c,
     c(x) = a x + b / x,
 
-evaluated here in u = log x with 512 Gauss-Legendre nodes on |u| <= 8 alpha.
+evaluated here in u = log x with 512 Gauss-Legendre nodes on |u| <= 8 alpha,
+for alpha = 0 or a normal float up to _ALPHA_MAX (VolDispersion).
 For mixed signs (a b < 0) the denominator c vanishes at u* = log(b/|a|)/2;
 the 1/c part of the integrand is odd around u*, so nodes placed symmetrically
 about u* cancel it exactly and only the smooth even part is summed.
@@ -46,6 +47,7 @@ _IV_LO, _IV_HI = 1e-8, 5.0
 _IV_TOL = 1e-10
 _BLOCK = 32  # mirrored pairs per pass: each (2, pairs, nodes) temporary stays near 256 kB
 _NODES = 512  # Gauss-Legendre nodes of the M-kernel
+_ALPHA_MAX = 5.0  # largest alpha pricing within 1e-10 of quadrature (scripts/kernel_accuracy.py)
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,16 @@ class OptionInputs(Checked):
 
 @dataclass(frozen=True)
 class VolDispersion(Checked):
-    """Dispersion alpha of the log of the mixing volatility."""
+    """Dispersion alpha of the log of the mixing volatility: 0, or a normal float
+    up to _ALPHA_MAX."""
 
     alpha: float
 
     def validate(self) -> None:
         nonnegative(alpha=self.alpha)
+        if self.alpha and not sys.float_info.min <= self.alpha <= _ALPHA_MAX:
+            raise ParameterError(f"alpha={self.alpha!r} is outside the M-kernel's domain: "
+                                 f"0 or a normal float up to {_ALPHA_MAX}")
 
     @classmethod
     def from_model(cls, params: ModelParams, horizon: float | None = None) -> "VolDispersion":
@@ -80,7 +86,11 @@ class VolDispersion(Checked):
         if horizon is not None:
             positive(horizon=horizon)
             alpha *= max(horizon / params.delta, 1.0) ** (params.hurst - 1.0)
-        return cls(alpha)
+        try:
+            return cls(alpha)
+        except ParameterError as err:  # name the fields a caller set, not alpha
+            raise ParameterError(f"the model's k delta^(H-1) at k={params.k!r}, delta="
+                                 f"{params.delta!r}, hurst={params.hurst!r}: {err}") from None
 
 
 def _terms(spot: float, strike, rate: float, tau) -> tuple[np.ndarray, ...]:
@@ -140,17 +150,12 @@ def _dot_rows(vals, w) -> np.ndarray:
     return (vals[..., None, :] @ w[:, None])[..., 0, 0]
 
 
-def _times(coef, e) -> np.ndarray:
-    """coef * e, where a term whose coefficient is exactly 0 is 0, not 0 * inf = nan."""
-    return np.where(coef == 0.0, 0.0, coef * e)
-
-
 def _m_plain(alpha, a, b, lo, hi, x, w) -> np.ndarray:
     """M rows for columns a, b on per-row bounds [lo, hi]."""
     rad = 0.5 * (hi - lo)
     u = 0.5 * (hi + lo) + rad * x
     c = a * np.exp(u) + b * np.exp(-u)
-    # e^u / c rewritten to stay finite when e^u overflows
+    # e^u / c, rewritten to stay finite when a e^u overflows
     smooth = np.exp(-0.5 * (u / alpha) ** 2) / (a + b * np.exp(-2.0 * u))
     vals = 0.5 * smooth * erfc(-c / _SQRT2) / (alpha * _SQRT_2PI)
     return rad.ravel() * _dot_rows(vals, w)
@@ -159,14 +164,12 @@ def _m_plain(alpha, a, b, lo, hi, x, w) -> np.ndarray:
 def _m_pair(alpha, pq, half, x, w) -> np.ndarray:
     """Rows M(p, q), M(q, p) for rows p, q of pq on [-half, half] from one erfc
     pass: c for (q, p) is c for (p, q) read backwards (module docs)."""
-    rad = 0.5 * (half + half)  # = half, or inf as in _m_plain once 2 half overflows
-    u = rad * x
+    u = half * x
     eu, e2, gauss = np.exp(u), np.exp(-2.0 * u), np.exp(-0.5 * (u / alpha) ** 2)
-    mul = _times if e2[0] == np.inf else np.multiply  # e^-2u past the float range
-    tail = erfc(-(mul(pq[0, :, None], eu) + mul(pq[1, :, None], eu[::-1])) / _SQRT2)
-    smooth = gauss / (pq[..., None] + mul(pq[::-1, :, None], e2))
+    tail = erfc(-(pq[0, :, None] * eu + pq[1, :, None] * eu[::-1]) / _SQRT2)
+    smooth = gauss / (pq[..., None] + pq[::-1, :, None] * e2)
     vals = 0.5 * smooth * np.concatenate((tail[None], tail[None, :, ::-1]))
-    return rad * _dot_rows(vals / (alpha * _SQRT_2PI), w)
+    return half * _dot_rows(vals / (alpha * _SQRT_2PI), w)
 
 
 def _m_split(alpha, a, b, ustar, half, x, w) -> np.ndarray:
@@ -194,12 +197,8 @@ def _m_split(alpha, a, b, ustar, half, x, w) -> np.ndarray:
 
 
 def _m_rows(alpha: float, pairs: np.ndarray) -> np.ndarray:
-    """Rows M(alpha, p, q) and M(alpha, q, p) for the rows p, q of pairs, alpha > 0."""
-    ok = np.isfinite(pairs).all(axis=0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        p, q = pairs[:, i].tolist()
-        raise ParameterError(f"a and b must be finite, got {p!r}, {q!r}")
+    """Rows M(alpha, p, q) and M(alpha, q, p) for the finite rows p, q of pairs,
+    alpha > 0 in VolDispersion's domain."""
     x, w = _leggauss(_NODES)
     half = _SPREAD_SDS * alpha
     out = np.empty(pairs.shape)
@@ -212,9 +211,9 @@ def _m_rows(alpha: float, pairs: np.ndarray) -> np.ndarray:
         ustar = np.array([[0.5 * math.log(-t / s) if s * t < 0 and t / s else math.nan
                            for s, t in zip(*pair)] for pair in (args, args[::-1])])
         split = (-half < ustar) & (ustar < half)
-        # e^u, e^-2u and sinh(v) pass the float range at the window edges once
-        # 16 alpha > log(max float), where their terms vanish (0 when a or b is
-        # 0); h(u) past it leaves a row non-finite, which _finite reports if asked for
+        # on |u| <= 8 alpha <= 40, e^u, e^-2u and h(u) are floats; a or b near the
+        # float range's ends may still over- or underflow a row, which _finite
+        # reports if asked for
         with np.errstate(all="ignore"):
             plain = ~(split[0] & split[1])  # pairs with a plain row
             if plain.any():  # a split partner's row is redone below
@@ -225,20 +224,19 @@ def _m_rows(alpha: float, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(alpha: float, m):
+def _finite(m):
     """m, the M values a caller uses, once found finite: a mirror row it drops need not be."""
     if not np.isfinite(m).all():
-        limit = (math.log(sys.float_info.max) + 0.5 * _SPREAD_SDS**2) / _SPREAD_SDS
-        raise ParameterError(
-            f"alpha={alpha!r} puts the M-kernel past the float range: its weight "
-            f"e^(u - u^2/(2 alpha^2)) / (alpha sqrt(2 pi)) on |u| <= {_SPREAD_SDS:g} alpha "
-            f"needs a normal float alpha below {limit:.6g}")
+        raise ParameterError("M(alpha, a, b) is past the float range, as a and b are both near "
+                             "0; in a price, a = drift/sigma and b = sigma sqrt(tau)/2: raise "
+                             "sigma or tau")
     return m
 
 
 def m_function(alpha: float, a: float, b: float) -> float:
     """M(alpha, a, b); the alpha = 0 limit is Phi(a + b) / (a + b)."""
-    nonnegative(alpha=alpha)
+    VolDispersion(alpha)  # built to be checked
+    finite(a=a, b=b)
     if a == 0.0 and b == 0.0:
         raise ParameterError("a = b = 0 makes the integrand singular everywhere")
     if alpha == 0.0:
@@ -247,7 +245,7 @@ def m_function(alpha: float, a: float, b: float) -> float:
             raise ParameterError(f"a + b = {d!r}: the alpha -> 0 limit "
                                  "Phi(a+b)/(a+b) needs a finite nonzero sum")
         return float(ndtr(d) / d)
-    return float(_finite(alpha, _m_rows(alpha, np.array([[a], [b]], float))[0, 0]))
+    return float(_finite(_m_rows(alpha, np.array([[a], [b]], float))[0, 0]))
 
 
 def _mixture(alpha, spot, drift, root, discounted, sigma):
@@ -258,7 +256,7 @@ def _mixture(alpha, spot, drift, root, discounted, sigma):
     pq = np.stack((np.concatenate([a, a]), np.concatenate([b, -b])))
     m = _m_rows(alpha, pq)
     m[(pq == 0.0) & ~np.isfinite(m)] = 0.0  # a leg with coefficient 0 adds exactly 0
-    legs = (pq * _finite(alpha, m)).reshape(2, 2, -1)
+    legs = (pq * _finite(m)).reshape(2, 2, -1)
     return spot * (legs[0, 0] + legs[1, 0]) - discounted * (legs[0, 1] + legs[1, 1])
 
 

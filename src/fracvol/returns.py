@@ -178,8 +178,9 @@ def cdf(r, params: ReturnDistParams):
     sigma, weights = _mixture_nodes(params)
     mean, sd = _density_moments(params, sigma)
     out = ndtr(_standard(r_arr[..., None], mean, sd)) @ weights
-    # weights integrate the truncated Gaussian; renormalize so cdf(+inf) -> 1
-    out = out / weights.sum()
+    # weights integrate the truncated Gaussian: renormalize, and hold the
+    # rounding of the two sums inside [0, 1] with cdf(+inf) = 1 exactly
+    out = np.where(r_arr == np.inf, 1.0, np.minimum(out / weights.sum(), 1.0))
     return out if out.ndim else float(out)
 
 
@@ -226,6 +227,8 @@ def tail_lambda(r, params: ReturnDistParams):
 def return_for_lambda(lam, params: ReturnDistParams):
     """The positive-side return at a given tail variable lambda."""
     lam_arr = _points("lam", lam)
+    if (lam_arr < 0).any():
+        raise ParameterError(f"lam must be nonnegative, got {float(lam_arr.min())!r}")
     out = central_return(params) + np.sqrt(2.0 * params.lag * params.theta**2 * lam_arr)
     return out if out.ndim else float(out)
 

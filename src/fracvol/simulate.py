@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GenerationError, GridMismatchError, ParameterError, grid_ratio,
-                     integer, nonnegative, one_of, positive, within_cells)
+                     integer, one_of, positive, within_cells)
 from .fgn import LogVolParams, _sample_unit_fgn
 from .rng import _ENS_PRICE, _ENS_VOL, _PRICE, _VOL, substream
 
@@ -42,14 +42,9 @@ class ModelParams(LogVolParams):
     """Parameters of the fractional volatility model."""
 
     coupling: str = INDEPENDENT_DRIVERS
-    # Kernel amplitude of the moving-average form. None means "calibrate so
-    # the stationary variance of log sigma matches the fGn form", k^2 d^(2H-2).
-    kprime: float | None = None
 
     def validate(self) -> None:
         super().validate()
-        if self.kprime is not None:
-            nonnegative(kprime=self.kprime)
         one_of("coupling", self.coupling, (INDEPENDENT_DRIVERS, IDENTIFIED_DRIVERS))
 
 
@@ -169,16 +164,15 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
     return times, prices, logvol
 
 
-def _kernel(history: int, dt: float, hurst: float) -> np.ndarray:
-    return (np.arange(1, history + 1) * dt) ** (hurst - 1.5)
+def _kernel(dt: float, hurst: float) -> np.ndarray:
+    return (np.arange(1, _HISTORY + 1) * dt) ** (hurst - 1.5)
 
 
-def calibrated_kprime(params: ModelParams, dt: float, history: int) -> float:
-    """Kernel amplitude matching the fGn-form stationary log-vol variance."""
+def calibrated_kprime(params: ModelParams, dt: float) -> float:
+    """Kernel amplitude k' matching the fGn-form stationary log-vol variance
+    k^2 delta^(2H-2)."""
     positive(dt=dt)
-    integer(1, history=history)
-    w = _kernel(history, dt, params.hurst)
-    return params.sigma_logvol / np.sqrt(np.sum(w**2) * dt)
+    return params.sigma_logvol / np.sqrt(np.sum(_kernel(dt, params.hurst)**2) * dt)
 
 
 def _valid_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -193,34 +187,29 @@ def _valid_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _identified_logvol_eps(params: ModelParams, n_steps: int, dt: float,
-                           history: int, rng_vol: np.random.Generator,
+                           rng_vol: np.random.Generator,
                            rng_price: np.random.Generator | None,
                            n_paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Moving-average log-vol plus the matching price increments.
 
-    The kernel needs `history` increments of warm-up before t = 0; they are
+    The kernel needs _HISTORY increments of warm-up before t = 0; they are
     generated and discarded internally, so outputs start fully warmed up.
     """
-    kp = params.kprime
-    if kp is None:
-        kp = calibrated_kprime(params, dt, history)
-    e = np.sqrt(dt) * rng_vol.standard_normal((n_paths, history + n_steps))
-    w = _kernel(history, dt, params.hurst)
-    core = _valid_convolve(e, w)  # (n_paths, n_steps + 1)
-    logvol = params.beta + kp * core
+    e = np.sqrt(dt) * rng_vol.standard_normal((n_paths, _HISTORY + n_steps))
+    core = _valid_convolve(e, _kernel(dt, params.hurst))  # (n_paths, n_steps + 1)
+    logvol = params.beta + calibrated_kprime(params, dt) * core
     if rng_price is None:
         # Identified drivers: the price is pushed by the negative of the
         # volatility driver, which is what makes rising volatility accompany
         # falling prices (the leverage effect).
-        eps = -e[:, history:]
+        eps = -e[:, _HISTORY:]
     else:
         eps = np.sqrt(dt) * rng_price.standard_normal((n_paths, n_steps))
     return logvol, eps
 
 
 def simulate_identified(params: ModelParams, n_steps: int, dt: float,
-                        s0: float = 1.0, history: int = _HISTORY,
-                        seed: int = 0) -> MarketPath:
+                        s0: float = 1.0, seed: int = 0) -> MarketPath:
     """Simulate one path of the moving-average form.
 
     With coupling = identified_drivers the price shares the volatility
@@ -228,29 +217,26 @@ def simulate_identified(params: ModelParams, n_steps: int, dt: float,
     model is statistically equivalent to simulate_path up to kernel
     truncation.
     """
-    integer(1, n_steps=n_steps, history=history)
-    within_cells(**{"history + n_steps": int(history) + int(n_steps)})
+    integer(1, n_steps=n_steps)
+    within_cells(**{"history + n_steps": _HISTORY + int(n_steps)})
     positive(dt=dt, s0=s0)
     times = _time_grid(n_steps, dt)
     rng_price = substream(seed, _PRICE) if params.coupling == INDEPENDENT_DRIVERS else None
-    logvol, eps = _identified_logvol_eps(
-        params, n_steps, dt, history, substream(seed, _VOL), rng_price, 1
-    )
+    logvol, eps = _identified_logvol_eps(params, n_steps, dt, substream(seed, _VOL),
+                                         rng_price, 1)
     prices = _advance_prices(logvol[0], eps[0], params.mu, dt, s0, seed)
     return MarketPath(times=times, prices=prices, logvol=logvol[0], seed=int(seed))
 
 
 def identified_return_ensemble(params: ModelParams, n_steps: int, dt: float,
-                               history: int = _HISTORY, seed: int = 0,
-                               n_paths: int = 1) -> np.ndarray:
+                               seed: int = 0, n_paths: int = 1) -> np.ndarray:
     """(n_paths, n_steps) log-returns from the moving-average form.
 
     Paths are generated in fixed-size chunks with per-chunk substreams, so
-    the output depends only on (params, n_steps, dt, history, seed, n_paths).
+    the output depends only on (params, n_steps, dt, seed, n_paths).
     """
-    integer(1, n_steps=n_steps, history=history, n_paths=n_paths)
-    within_cells(**{"n_paths * (history + n_steps)":
-                    int(n_paths) * (int(history) + int(n_steps))})
+    integer(1, n_steps=n_steps, n_paths=n_paths)
+    within_cells(**{"n_paths * (history + n_steps)": int(n_paths) * (_HISTORY + int(n_steps))})
     positive(dt=dt)
     out = np.empty((n_paths, n_steps))
     for start in range(0, n_paths, _CHUNK):
@@ -258,10 +244,8 @@ def identified_return_ensemble(params: ModelParams, n_steps: int, dt: float,
         idx = start // _CHUNK
         rng_price = (substream(seed, _ENS_PRICE, idx)
                      if params.coupling == INDEPENDENT_DRIVERS else None)
-        logvol, eps = _identified_logvol_eps(
-            params, n_steps, dt, history, substream(seed, _ENS_VOL, idx),
-            rng_price, stop - start,
-        )
+        logvol, eps = _identified_logvol_eps(params, n_steps, dt, substream(seed, _ENS_VOL, idx),
+                                             rng_price, stop - start)
         sig = np.exp(logvol[:, :-1])
         out[start:stop] = (params.mu - 0.5 * sig**2) * dt + sig * eps
     return out

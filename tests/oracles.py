@@ -12,7 +12,7 @@ import functools
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import erf, erfc, ndtr
 
 from fracvol.agents import MarketEnv, Population, evolve
@@ -265,6 +265,22 @@ def ref_price(spot, strike, rate, sigma, tau, alpha, nodes=512):
     strike_leg = a * m(a, -b) - b * m(-b, a)
     discounted = strike * math.exp(-rate * tau)
     return float(spot * spot_leg - discounted * strike_leg)
+
+
+def ref_price_quad(spot, strike, rate, sigma, tau, alpha):
+    """Call value as the Hull-White mixture E[BS(sigma e^u)], u ~ N(0, alpha^2),
+    by adaptive quadrature over |u| <= 12 alpha, split where the Black-Scholes
+    price turns over: sigma e^u sqrt(tau) = 1 and = |log(S/K) + rate tau|."""
+    def integrand(u):
+        weight = math.exp(-0.5 * (u / alpha) ** 2) / (alpha * math.sqrt(2.0 * math.pi))
+        return ref_black_scholes(spot, strike, rate, sigma * math.exp(u), tau) * weight
+
+    scale = sigma * math.sqrt(tau)
+    moneyness = abs(math.log(spot / strike) + rate * tau)
+    turns = [0.0, -math.log(scale)] + ([math.log(moneyness / scale)] if moneyness else [])
+    half = 12.0 * alpha
+    return integrate.quad(integrand, -half, half, limit=400, epsabs=0.0, epsrel=1e-13,
+                          points=sorted(u for u in turns if -half < u < half))[0]
 
 
 def ref_implied_vol(target, spot, strike, rate, tau):

@@ -614,6 +614,10 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
     # symptom: a no-arbitrage band, a nan target price or the kernel's a and b
     (["price", "--rate", "1e300"], "rate sqrt(tau) reaches 4.47213595499958e+300", None),
     (["price", "--sigma", "1.7e308"], "sigma=1.7e+308", None),
+    # a = 0 and b = sigma sqrt(tau)/2 = 5e-311 put M(b, 0) past the float
+    # range, and the message blamed alpha=0.3
+    (["price", "--sigma", "1e-305", "--tau", "1e-10", "--rate", "0", "--alpha-disp", "0.3"],
+     "raise sigma or tau", None),
     (["price", "--rate=-1.7e308"], "at rate=-1.7e+308", None),
     (["smile", "--rate", "1e300"], "rate sqrt(tau) reaches 1e+301", None),
     (["smile", "--sigma", "1.7e308"], "sigma=1.7e+308", None),
@@ -636,7 +640,8 @@ def test_float_range_failures_exit_1(tmp_path, capsys, argv, config, error):
         "pdf-theta-squared-overflow-700", "pdf-theta-squared-overflow-709.8",
         "pdf-theta-squared-overflow-710", "pdf-theta-squared-overflow-745",
         "smile-strike-overflow", "smile-spot-negative-past-range",
-        "price-rate-1e300", "price-sigma-1.7e308", "price-rate-negative-1.7e308",
+        "price-rate-1e300", "price-sigma-1.7e308", "price-m-kernel-past-float-range",
+        "price-rate-negative-1.7e308",
         "smile-rate-1e300", "smile-sigma-1.7e308", "smile-rate-negative-1.7e308",
         "price-strike-subnormal", "abm-price0-subnormal",
         "abm-noise-sigma-past-range", "abm-value-walk-sigma-past-range"])
@@ -657,17 +662,19 @@ def test_outside_float_range_is_a_parameter_error_naming_it(tmp_path, capsys, ar
 
 @pytest.mark.parametrize("alpha", ["50", "88", "92.7"])
 def test_price_with_zero_a_and_wide_dispersion(tmp_path, capsys, alpha):
-    # a = 0 at S = K e^(-rate tau): the legs with coefficient a add exactly 0,
-    # where their M rows pass the float range; this exited 1 blaming alpha
+    # a = 0 at S = K e^(-rate tau); past alpha = 5 the kernel is off by 1e-9
+    # to 1e-3 relative, so the dispersion is refused before it is priced
     out = tmp_path / "p.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["price", "--rate", "0", "--alpha-disp", alpha, "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    doc = json.loads(out.read_text())
-    assert 0.0 < doc["value"] < doc["spot"]  # the no-arbitrage band at rate 0, S = K
-    if alpha == "50":
-        assert doc["value"] == 0.47439954428948283
+        assert main(["price", "--rate", "0", "--alpha-disp", alpha, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc == {"error": "ParameterError",
+                   "message": f"alpha={float(alpha)!r} is outside the M-kernel's domain: "
+                              "0 or a normal float up to 5.0"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -62,8 +62,6 @@ def test_decompose_reconstructs_exactly():
     assert abs(d.r_sigma.mean()) < 1e-12
     with pytest.raises(ParameterError):
         integrated_logvol_decompose(np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ParameterError):
-        integrated_logvol_decompose(vol, delta=0.0)
 
 
 def test_default_scaling_lags():

@@ -124,8 +124,9 @@ def test_only_returns_imports_scipy():
     assert sorted(set(importers)) == ["returns.py"]
 
 
-# the parameters of the entry points whose quadrature sizes, windows and
-# report lags are fixed module constants, not keywords
+# the parameters of the entry points whose quadrature sizes, windows, report
+# lags and moving-average kernel (its 4096 steps and calibrated amplitude k')
+# are fixed module constants, not keywords
 _SIGNATURES = {
     "pricing.m_function": ["alpha", "a", "b"],
     "pricing.price": ["opt", "disp"],
@@ -136,6 +137,11 @@ _SIGNATURES = {
     "returns.calibrate_tail_prefactor": ["params"],
     "estimation.induced_volatility": ["log_prices", "window", "dt"],
     "estimation.estimate_report": ["prices", "dt", "window", "delta", "scaling_lags"],
+    "estimation.integrated_logvol_decompose": ["vol"],
+    "simulate.ModelParams": ["mu", "beta", "k", "delta", "hurst", "coupling"],
+    "simulate.calibrated_kprime": ["params", "dt"],
+    "simulate.simulate_identified": ["params", "n_steps", "dt", "s0", "seed"],
+    "simulate.identified_return_ensemble": ["params", "n_steps", "dt", "seed", "n_paths"],
 }
 
 

@@ -103,16 +103,12 @@ BAD_CALLS = {
     "simulate_path-dt-None": lambda: simulate_path(MODEL, 10, None),
     "simulate_path-s0-str": lambda: simulate_path(MODEL, 10, 1.0, s0="1"),
     "path_ensemble-n_paths-2.5": lambda: path_ensemble(MODEL, 10, 1.0, n_paths=2.5),
-    "simulate_identified-history-2.5":
-        lambda: simulate_identified(MODEL, 10, 1.0, history=2.5),
     "identified_return_ensemble-n_paths-2.0":
-        lambda: identified_return_ensemble(MODEL, 10, 1.0, history=8, n_paths=2.0),
+        lambda: identified_return_ensemble(MODEL, 10, 1.0, n_paths=2.0),
     "induced_volatility-window-8.5": lambda: induced_volatility(np.log(PRICES), 8.5),
     "estimate_report-window-21.5": lambda: estimate_report(PRICES, window=21.5),
     "estimate_report-dt-None": lambda: estimate_report(PRICES, dt=None),
     "estimate_report-delta-str": lambda: estimate_report(PRICES, delta="1"),
-    "integrated_logvol_decompose-delta-None":
-        lambda: integrated_logvol_decompose(np.ones(10), delta=None),
     "leverage-max_lag-2.5": lambda: leverage(np.ones(50), 2.5),
     # a non-finite entry gave NaN estimates, or a RuntimeWarning for +inf
     "induced_volatility-nan": lambda: induced_volatility(_with(NORMAL, math.nan), 21),
@@ -179,17 +175,17 @@ BAD_CALLS = {
     "ModelParams-k-squared-overflow": lambda: ModelParams(k=1e200),
     "ReturnDistParams-k-squared-overflow": lambda: ReturnDistParams(k=1e200),
     # a parameter object that was never validated gave garbage, not an error
-    "calibrated_kprime-k-nan": lambda: calibrated_kprime(ModelParams(k=math.nan), 1.0, 512),
-    "calibrated_kprime-hurst-5":
-        lambda: calibrated_kprime(ModelParams(hurst=5.0), 1.0, 512),
+    "calibrated_kprime-k-nan": lambda: calibrated_kprime(ModelParams(k=math.nan), 1.0),
+    "calibrated_kprime-hurst-5": lambda: calibrated_kprime(ModelParams(hurst=5.0), 1.0),
     "central_return-mu-nan": lambda: central_return(ReturnDistParams(mu=math.nan)),
     "tail_lambda-lag-negative": lambda: tail_lambda(0.1, ReturnDistParams(lag=-1.0)),
     "return_for_lambda-lag-negative":
         lambda: return_for_lambda(10.0, ReturnDistParams(lag=-1.0)),
+    # the square root of a negative lambda gave NaN and a RuntimeWarning
+    "return_for_lambda-lam-negative": lambda: return_for_lambda(-1.0, RDP),
     "MarketPath-list-prices-negative": lambda: MarketPath(
         times=[0.0, 1.0], prices=[1, -1], logvol=[0.0, 0.0], seed=0).validate(),
-    "calibrated_kprime-dt-nan": lambda: calibrated_kprime(MODEL, math.nan, 512),
-    "calibrated_kprime-history-2.5": lambda: calibrated_kprime(MODEL, 1.0, 2.5),
+    "calibrated_kprime-dt-nan": lambda: calibrated_kprime(MODEL, math.nan),
     # a seed that is not an integer, or that wraps onto another seed's key
     "substream-seed-1.5": lambda: substream(1.5),
     "substream-seed-nan": lambda: substream(math.nan),
@@ -199,6 +195,15 @@ BAD_CALLS = {
     "simulate_path-seed-1.5": lambda: simulate_path(MODEL, 8, 1.0, seed=1.5),
     "LobParams-seed-1.5": lambda: LobParams(seed=1.5),
     "ExperimentConfig-seed-1.5": lambda: ExperimentConfig(seed=1.5),
+    # market and population fields that failed only in run_experiment
+    "ExperimentConfig-noise_sigma-negative": lambda: ExperimentConfig(noise_sigma=-1.0),
+    "ExperimentConfig-value_walk_sigma-nan":
+        lambda: ExperimentConfig(value_walk_sigma=math.nan),
+    "ExperimentConfig-f_choice-bogus": lambda: ExperimentConfig(f_choice="bogus"),
+    "ExperimentConfig-beta_f-negative": lambda: ExperimentConfig(beta_f=-1.0),
+    "ExperimentConfig-population-code-99": lambda: ExperimentConfig(population=((99, 1),)),
+    "ExperimentConfig-population-count-0": lambda: ExperimentConfig(population=((72, 0),)),
+    "ExperimentConfig-population-empty": lambda: ExperimentConfig(population=()),
     "smile_surface-taus-nan":
         lambda: smile_surface(MODEL, 0.01, taus=np.array([5.0, math.nan])),
 }

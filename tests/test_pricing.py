@@ -1,6 +1,7 @@
 """Option valuation: kernel integrals, mixture identity, smile behavior."""
 import hashlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from fracvol import pricing
+from fracvol.agents import ImpactParams, info_vector, market_impact
 from fracvol.errors import GridMismatchError, NoSolutionError, ParameterError
 from fracvol.estimation import estimate_report, induced_volatility
 from fracvol.fgn import fgn_autocovariance, generate_fgn
@@ -18,7 +20,7 @@ from fracvol.pricing import (_BLOCK, OptionInputs, VolDispersion, black_scholes,
 from fracvol.returns import _leggauss
 from fracvol.simulate import ModelParams
 
-from oracles import ref_implied_vol, ref_m_function, ref_price, ref_smile
+from oracles import ref_implied_vol, ref_m_function, ref_price, ref_price_quad, ref_smile
 
 ATM = OptionInputs(spot=1.0, strike=1.0, rate=0.001, sigma_t=0.01, tau=20.0)
 
@@ -214,8 +216,12 @@ def test_input_validation():
     lambda x: mean_variance_fit(ModelParams(), x),
     lambda x: induced_volatility(np.zeros(40), 21, dt=x),
     lambda x: estimate_report(np.ones(100), delta=x),
+    lambda x: fgn_autocovariance(x, 0.7),
+    lambda x: market_impact(x, ImpactParams()),
+    lambda x: info_vector(x, 0.0),
 ], ids=["fgn-spacing", "autocov-spacing", "dispersion-horizon",
-        "mean_variance_fit-tau", "induced_vol-dt", "estimate-delta"])
+        "mean_variance_fit-tau", "induced_vol-dt", "estimate-delta", "autocov-lag",
+        "market_impact-omega", "info_vector-misprice"])
 def test_library_entry_points_reject_non_finite(call, bad):
     with pytest.raises(ParameterError):
         call(bad)
@@ -373,25 +379,44 @@ def test_smile_at_intrinsic_value_inverts_the_put(alpha, routed):
 
 
 def test_dispersion_past_float_range_names_alpha():
-    # the kernel weight e^(u - u^2/(2 alpha^2)) at u = 8 alpha is e^(8 alpha - 32)
-    with pytest.raises(ParameterError, match=r"alpha=1000\.0 .*below 92\.72"):
-        price(ATM, VolDispersion(1e3))
-    with pytest.raises(ParameterError, match=r"alpha=5e-324 "):
-        m_function(5e-324, 1.0, 1.0)
+    # past the cap: at 50 the kernel is 2e-3 off, at 1e3 its weight e^(8 alpha - 32)
+    # is past the float range, and a subnormal alpha overflows 1/alpha
+    for alpha in (1e3, 50.0, 5e-324, 1e-308):
+        for call in (lambda: price(ATM, VolDispersion(alpha)),
+                     lambda: m_function(alpha, 1.0, 1.0),
+                     lambda: smile_surface(ModelParams(), 0.01, alpha=alpha)):
+            with pytest.raises(ParameterError, match=f"^alpha={alpha!r} "):
+                call()
+        # the model's alpha = k delta^(H-1) names the fields it comes from
+        with pytest.raises(ParameterError, match=f"^the model's .* k={alpha!r}, .*: alpha="):
+            smile_surface(ModelParams(k=alpha), 0.01)
+
+
+def test_alpha_cap_is_where_the_kernel_holds_1e_10():
+    # both sides of _ALPHA_MAX, the bound scripts/kernel_accuracy.py measures:
+    # within 1e-10 relative of adaptive quadrature at it, refused just past it
+    cap = pricing._ALPHA_MAX
+    for strike, tau in ((1.05, 20.0), (0.8, 5.0), (1.5, 100.0), (1.0, 20.0)):
+        value = price(OptionInputs(1.0, strike, 0.0, 0.01, tau), VolDispersion(cap))
+        assert value == pytest.approx(ref_price_quad(1.0, strike, 0.0, 0.01, tau, cap),
+                                      rel=1e-10, abs=0)
+    with pytest.raises(ParameterError, match=r"^alpha=5\.000000000000001 is outside the "
+                                             r"M-kernel's domain: 0 or a normal float up to 5\.0$"):
+        VolDispersion(math.nextafter(cap, math.inf))
+    assert VolDispersion(sys.float_info.min).alpha > 0.0  # the smallest normal alpha
 
 
 def test_wide_dispersion_below_the_limit_is_unchanged():
-    # e^u and e^-2u overflow harmlessly at these window edges; the values
-    # are the ones computed before those overflows were silenced
-    assert repr(price(ATM, VolDispersion(50.0))) == "0.48518188795268846"
-    assert repr(price(ATM, VolDispersion(92.0))) == "0.49576456313136685"
-    assert repr(m_function(1000.0, 1.0, 1.0)) == "0.49999999999999806"
+    # the bits at the cap are those the kernel gave with its guards for alpha > 44
+    assert repr(price(ATM, VolDispersion(5.0))) == "0.27892161544175575"
+    assert repr(m_function(5.0, 1.0, 1.0)) == "0.4990277862302225"
 
 
 def test_zero_coefficient_legs_add_nothing_past_the_float_range():
-    # a = 0 at S = K e^(-rate tau). Past alpha ~ 44.4, e^(-2u) overflows in
-    # the window, where 0 * inf made M(b, 0) nan; test_cli prices alpha 50 to 92.7
-    b = 0.5 * 0.01 * math.sqrt(20.0)
-    assert 0.0 < m_function(50.0, b, 0.0) < math.inf
-    opt = OptionInputs(1.0, 1.0, 0.0, 0.01, 20.0)
-    assert price(opt, VolDispersion(40.0)) == 0.4683710998641863  # no overflow: unchanged
+    # a = 0 at S = K e^(-rate tau), and b = sigma_t sqrt(tau)/2 = 5e-301: the M
+    # rows of the two legs with coefficient a leave the float range, but add 0
+    b = 0.5 * 1e-300
+    with pytest.raises(ParameterError, match=r"raise sigma or tau$"):
+        m_function(5.0, 0.0, b)
+    assert 0.0 < m_function(5.0, b, 0.0) < math.inf
+    assert price(OptionInputs(1.0, 1.0, 0.0, 1e-300, 1.0), VolDispersion(5.0)) == 0.0

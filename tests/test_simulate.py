@@ -108,13 +108,12 @@ def test_identified_ensemble_matches_direct_convolution():
     # the moving average written out with np.convolve on the same stream
     params = ModelParams(beta=-4.0, mu=0.01, hurst=0.7,
                          coupling=IDENTIFIED_DRIVERS)
-    n_steps, dt, history, paths = 40, 0.5, 16, 3
-    got = identified_return_ensemble(params, n_steps, dt, history=history,
-                                     seed=6, n_paths=paths)
+    n_steps, dt, history, paths = 40, 0.5, 4096, 3
+    got = identified_return_ensemble(params, n_steps, dt, seed=6, n_paths=paths)
     e = np.sqrt(dt) * substream(6, _ENS_VOL, 0).standard_normal(
         (paths, history + n_steps))
     w = (np.arange(1, history + 1) * dt) ** (params.hurst - 1.5)
-    kp = calibrated_kprime(params, dt, history)
+    kp = calibrated_kprime(params, dt)
     logvol = params.beta + kp * np.array([np.convolve(row, w, mode="valid")
                                           for row in e])
     sig = np.exp(logvol[:, :-1])
@@ -142,9 +141,9 @@ def test_simulate_identified_path():
 
 
 def test_calibrated_kernel_amplitude():
-    v = calibrated_kprime(ModelParams(), 1.0, 512)
+    v = calibrated_kprime(ModelParams(), 1.0)
     assert v > 0
-    assert calibrated_kprime(ModelParams(k=0.0), 1.0, 512) == 0.0
+    assert calibrated_kprime(ModelParams(k=0.0), 1.0) == 0.0
 
 
 def test_param_validation():
@@ -189,7 +188,7 @@ def test_hold_longer_than_the_path(dt):
      r"on path 0 at step 1 \(seed 4\)"),
     (lambda: path_ensemble(ModelParams(mu=1e300), 5, 1.0, n_paths=2),
      r"price inf on path 0 at step 1 \(seed 0\)"),
-    (lambda: simulate_identified(ModelParams(beta=700.0), 5, 1.0, history=8, seed=2),
+    (lambda: simulate_identified(ModelParams(beta=700.0), 5, 1.0, seed=2),
      r"on path 0 at step 1 \(seed 2\)"),
 ], ids=["simulate_path", "path_ensemble", "path_ensemble-mu", "simulate_identified"])
 def test_price_past_float_range_is_a_generation_error(generate, where):
@@ -203,7 +202,7 @@ def test_time_stamps_past_float_range_name_dt():
     params = ModelParams(k=0.0, beta=-400.0)
     for run in (lambda: simulate_path(params, 2000, 1e308),
                 lambda: path_ensemble(params, 2000, 1e308, n_paths=2),
-                lambda: simulate_identified(params, 2000, 1e308, history=8)):
+                lambda: simulate_identified(params, 2000, 1e308)):
         with pytest.raises(ParameterError, match=r"dt=1e\+308: the last time stamp"):
             run()
     # the largest grid that still fits keeps its last stamp
