@@ -153,12 +153,16 @@ def _fgn_circulant(n: int, weights: np.ndarray, rng: np.random.Generator,
     m = 2 * n
     z = rng.standard_normal((n_paths, m))
     v = np.empty((n_paths, m), dtype=complex)
+    re, im = v.real, v.imag
     # Hermitian spectral vector: real at frequencies 0 and n, conjugate pairs
-    # elsewhere, so that fft(v) has covariance gamma.
-    v[:, 0] = weights[0] * z[:, 0]
-    v[:, n] = weights[n] * z[:, 1]
-    v[:, 1:n] = weights[1:n] * (z[:, 2 : n + 1] + 1j * z[:, n + 1 : m])
-    v[:, n + 1 :] = np.conj(v[:, n - 1 : 0 : -1])
+    # elsewhere, so that fft(v) has covariance gamma. Written in place.
+    re[:, [0, n]] = weights[[0, n]] * z[:, :2]
+    im[:, [0, n]] = 0.0
+    np.multiply(weights[1:n], z[:, 2 : n + 1], out=re[:, 1:n])
+    np.multiply(weights[1:n], z[:, n + 1 : m], out=im[:, 1:n])
+    del z
+    re[:, n + 1 :] = re[:, n - 1 : 0 : -1]
+    np.negative(im[:, n - 1 : 0 : -1], out=im[:, n + 1 :])
     return np.fft.fft(v, axis=1).real[:, :n]
 
 

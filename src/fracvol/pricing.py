@@ -36,7 +36,7 @@ from .errors import (Checked, GridMismatchError, NoSolutionError, ParameterError
                      grid_ratio, integer, nonnegative, positive)
 from .fgn import fgn_autocovariance
 from .returns import _leggauss, erf, erfc, ndtr
-from .simulate import ModelParams, logvol_marginal_moments, path_ensemble
+from .simulate import ModelParams, _path_blocks, logvol_marginal_moments
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -444,15 +444,18 @@ def monte_carlo_price(opt: OptionInputs, params: ModelParams,
     """Risk-neutral Monte Carlo call price: (estimate, standard error).
 
     Simulates params with drift forced to opt.rate over tau/delta steps of
-    size delta starting from opt.spot, and discounts the terminal payoff.
+    size delta starting from opt.spot, and discounts the terminal payoff:
+    path_ensemble's paths, one block of rows at a time, keeping last prices.
     The volatility level comes from params.beta; opt.sigma_t is not used.
     """
     integer(2, n_paths=n_paths)  # the standard error needs two payoffs
     n_steps = _horizon_steps(params, opt.tau)
     rn = replace(params, mu=opt.rate)
-    _, prices, _ = path_ensemble(rn, n_steps, params.delta, s0=opt.spot,
-                                 seed=seed, n_paths=n_paths)
-    payoff = np.maximum(prices[:, -1] - opt.strike, 0.0)
+    _, blocks = _path_blocks(rn, n_steps, params.delta, opt.spot, seed, n_paths)
+    terminal = np.empty(n_paths)
+    for first, _, prices in blocks:
+        terminal[first : first + len(prices)] = prices[:, -1]
+    payoff = np.maximum(terminal - opt.strike, 0.0)
     value = math.exp(-opt.rate * opt.tau) * payoff
     stderr = float(np.std(value, ddof=1) / math.sqrt(n_paths))
     return float(np.mean(value)), stderr

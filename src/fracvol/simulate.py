@@ -34,6 +34,7 @@ INDEPENDENT_DRIVERS = "independent_drivers"
 IDENTIFIED_DRIVERS = "identified_drivers"
 
 _CHUNK = 256  # fixed ensemble chunk size; part of the determinism contract
+_BLOCK_CELLS = 1 << 16  # cells per row block of path_ensemble; no size changes a bit
 _HISTORY = 4096  # moving-average kernel length, in dt steps
 
 
@@ -75,9 +76,10 @@ def logvol_marginal_moments(params: ModelParams) -> tuple[float, float]:
     return params.beta, params.k**2 * params.delta ** (2.0 * params.hurst - 2.0)
 
 
-def _logvol_grid(params: ModelParams, n_values: int, dt: float,
-                 rng: np.random.Generator, n_paths: int) -> np.ndarray:
-    """(n_paths, n_values) samples of log sigma on the dt grid.
+def _logvol_sampler(params: ModelParams, n_values: int, dt: float, n_paths: int):
+    """Check the grids of an n_paths ensemble; return the fGn length sampled per
+    row and a function drawing (rows, n_values) samples of log sigma on the dt
+    grid from rng.
 
     The underlying noise lives at spacing delta. For dt < delta each value is
     held for delta/dt grid steps; for dt > delta the delta-grid noise is
@@ -86,28 +88,30 @@ def _logvol_grid(params: ModelParams, n_values: int, dt: float,
     value is repeated at most n_values times, since one may cover the path.
     """
     if params.k == 0.0:
-        return np.full((n_paths, n_values), params.beta)
+        return n_values, lambda rng, rows: np.full((rows, n_values), params.beta)
     scale = params.sigma_logvol
     hold = grid_ratio(params.delta, dt)
     if hold is not None:
         n_vol = -(-n_values // hold)  # ceil
-        g = _sample_unit_fgn(n_vol, params.hurst, rng, n_paths)
-        return params.beta + scale * np.repeat(g, min(hold, n_values), axis=1)[:, :n_values]
+        return n_vol, lambda rng, rows: params.beta + scale * np.repeat(
+            _sample_unit_fgn(n_vol, params.hurst, rng, rows),
+            min(hold, n_values), axis=1)[:, :n_values]
     sub = grid_ratio(dt, params.delta)
     if sub is not None:
         n_fine = (int(n_values) - 1) * sub + 1
         within_cells(**{"n_paths * (n_steps * dt/delta + 1)": int(n_paths) * n_fine})
-        g = _sample_unit_fgn(n_fine, params.hurst, rng, n_paths)
-        return params.beta + scale * g[:, ::sub]
+        return n_fine, lambda rng, rows: params.beta + scale * _sample_unit_fgn(
+            n_fine, params.hurst, rng, rows)[:, ::sub]
     raise GridMismatchError(
         f"dt={dt!r} and delta={params.delta!r} have no integer ratio either way"
     )
 
 
 def _advance_prices(logvol: np.ndarray, eps: np.ndarray, mu: float, dt: float,
-                    s0: float, seed: int) -> np.ndarray:
+                    s0: float, seed: int, first: int = 0) -> np.ndarray:
     """Exact log-Euler: eps are the Brownian increments over each dt step.
-    A price that is not positive and finite is a GenerationError."""
+    A price that is not positive and finite is a GenerationError naming its
+    path, counted from first, the ensemble row of logvol's row 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         sig = np.exp(logvol[..., :-1])
         incr = (mu - 0.5 * sig**2) * dt + sig * eps
@@ -118,8 +122,8 @@ def _advance_prices(logvol: np.ndarray, eps: np.ndarray, mu: float, dt: float,
     rows = np.atleast_2d(prices)
     if not 0.0 < rows.min() <= rows.max() < np.inf:
         path, step = np.argwhere(~((rows > 0) & (rows < np.inf)))[0]
-        raise GenerationError(f"price {float(rows[path, step])!r} on path {path} at step "
-                              f"{step} (seed {seed}): the log price left the float range")
+        raise GenerationError(f"price {float(rows[path, step])!r} on path {first + path} at "
+                              f"step {step} (seed {seed}): the log price left the float range")
     return prices
 
 
@@ -142,12 +146,14 @@ def simulate_path(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
     return MarketPath(times=times, prices=prices[0], logvol=logvol[0], seed=int(seed))
 
 
-def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
-                  seed: int = 0, n_paths: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ensemble of fGn-form paths: (times, prices, logvol).
+def _path_blocks(params: ModelParams, n_steps: int, dt: float, s0: float, seed: int,
+                 n_paths: int):
+    """Check path_ensemble's inputs; return its time stamps and an iterator of
+    (first row, logvol, prices) over successive blocks of its rows.
 
-    prices and logvol have shape (n_paths, n_steps + 1). Everything is held
-    in memory, so keep n_paths * n_steps within budget.
+    A block holds about _BLOCK_CELLS cells of the wider of the sampled fGn and
+    the path. Both substreams are drawn in row order, so the blocks are the
+    ensemble's rows bit for bit at any block size.
     """
     integer(1, n_steps=n_steps, n_paths=n_paths)
     within_cells(**{"n_paths * (n_steps + 1)": int(n_paths) * (int(n_steps) + 1)})
@@ -158,9 +164,34 @@ def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
             "use simulate_identified or identified_return_ensemble"
         )
     times = _time_grid(n_steps, dt)
-    logvol = _logvol_grid(params, n_steps + 1, dt, substream(seed, _VOL), n_paths)
-    eps = np.sqrt(dt) * substream(seed, _PRICE).standard_normal((n_paths, n_steps))
-    prices = _advance_prices(logvol, eps, params.mu, dt, s0, seed)
+    width, sample = _logvol_sampler(params, n_steps + 1, dt, n_paths)
+    rows = max(1, _BLOCK_CELLS // max(width, n_steps + 1))
+    rng_vol, rng_price = substream(seed, _VOL), substream(seed, _PRICE)
+
+    def blocks():
+        for first in range(0, n_paths, rows):
+            count = min(rows, n_paths - first)
+            logvol = sample(rng_vol, count)
+            eps = np.sqrt(dt) * rng_price.standard_normal((count, n_steps))
+            yield first, logvol, _advance_prices(logvol, eps, params.mu, dt, s0, seed, first)
+
+    return times, blocks()
+
+
+def path_ensemble(params: ModelParams, n_steps: int, dt: float, s0: float = 1.0,
+                  seed: int = 0, n_paths: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized ensemble of fGn-form paths: (times, prices, logvol).
+
+    prices and logvol have shape (n_paths, n_steps + 1), filled block by
+    block of rows; beyond the two outputs only one block's draws are held,
+    so keep n_paths * n_steps within budget for the outputs themselves.
+    """
+    times, blocks = _path_blocks(params, n_steps, dt, s0, seed, n_paths)
+    prices = np.empty((n_paths, n_steps + 1))
+    logvol = np.empty((n_paths, n_steps + 1))
+    for first, block_logvol, block_prices in blocks:
+        logvol[first : first + len(block_logvol)] = block_logvol
+        prices[first : first + len(block_prices)] = block_prices
     return times, prices, logvol
 
 

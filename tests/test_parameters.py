@@ -277,6 +277,8 @@ def test_nan_tau_is_named_as_a_float():
     (lambda: path_ensemble(MODEL, 4096, 1.0, n_paths=10**20), "n_paths * (n_steps + 1)"),
     (lambda: path_ensemble(MODEL, 2**29, 1.0, n_paths=2**29), "n_paths * (n_steps + 1)"),
     (lambda: path_ensemble(MODEL, np.int64(10), 1e20), "n_paths * (n_steps * dt/delta + 1)"),
+    # 10**12 + 1 fine cells fit one row; the whole ensemble is checked, not a block
+    (lambda: path_ensemble(MODEL, 1, 1e12, n_paths=10**6), "n_paths * (n_steps * dt/delta + 1)"),
     (lambda: generate_fgn(10**20, 0.7), "n"),
     (lambda: simulate_identified(MODEL, 10**20, 1.0), "history + n_steps"),
     (lambda: identified_return_ensemble(MODEL, 10, 1.0, n_paths=10**20),
@@ -284,8 +286,8 @@ def test_nan_tau_is_named_as_a_float():
     (lambda: LobParams(steps=10**20), "steps"),
     (lambda: ExperimentConfig(n_steps=10**20), "n_steps"),
 ], ids=["path_ensemble-n_steps", "simulate_path-n_steps", "path_ensemble-n_paths",
-        "path_ensemble-product", "path_ensemble-fine-grid", "generate_fgn-n",
-        "simulate_identified-n_steps", "identified_return_ensemble-product",
+        "path_ensemble-product", "path_ensemble-fine-grid", "path_ensemble-fine-grid-paths",
+        "generate_fgn-n", "simulate_identified-n_steps", "identified_return_ensemble-product",
         "LobParams-steps", "ExperimentConfig-n_steps"])
 def test_count_past_the_array_size_limit_names_it(call, name):
     # numpy raised a raw ValueError ("Maximum allowed size exceeded"), a numpy

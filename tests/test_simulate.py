@@ -1,12 +1,16 @@
 """Price-path generator contracts: shapes, determinism, grid rules."""
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from fracvol import simulate
 from fracvol.errors import GenerationError, GridMismatchError, ParameterError
 from fracvol.estimation import leverage
+from fracvol.pricing import OptionInputs, mean_variance_fit, monte_carlo_price
 from fracvol.rng import substream
 from fracvol.simulate import (_ENS_VOL, IDENTIFIED_DRIVERS, MarketPath,
                               ModelParams, calibrated_kprime,
@@ -87,6 +91,53 @@ def test_single_path_is_row_zero_of_the_ensemble(dt):
     np.testing.assert_array_equal(path.prices, prices[0])
     np.testing.assert_array_equal(path.logvol, logvol[0])
     assert path.seed == 4
+
+
+def _block_fed_outputs():
+    """SHA-256 over every output the row blocks feed, and one failure's text."""
+    digest = hashlib.sha256()
+    for params, dt in ((ModelParams(), 0.25), (ModelParams(), 3.0),  # hold, subsample
+                       (ModelParams(k=0.0), 1.0), (ModelParams(hurst=1.0), 1.0)):
+        for array in path_ensemble(params, 40, dt, s0=1.5, seed=6, n_paths=37):
+            digest.update(array.tobytes())
+    path = simulate_path(ModelParams(), 500, 1.0, seed=2)
+    digest.update(path.prices.tobytes() + path.logvol.tobytes())
+    sigma_t, _ = mean_variance_fit(ModelParams(), 20.0)
+    opt = OptionInputs(spot=1.0, strike=1.0, rate=0.001, sigma_t=sigma_t, tau=20.0)
+    digest.update(np.array(monte_carlo_price(opt, ModelParams(), 3000, seed=5)).tobytes())
+    with pytest.raises(GenerationError) as failure:
+        path_ensemble(ModelParams(beta=-0.5, k=1.0), 50, 1.0, seed=1, n_paths=4000)
+    return digest.hexdigest(), str(failure.value)
+
+
+@pytest.mark.parametrize("cells", [1, 256, simulate._BLOCK_CELLS],
+                         ids=["one-row", "a-few-rows", "default"])
+def test_block_size_changes_no_bit(monkeypatch, cells):
+    # 256 cells make blocks of 1 to 12 rows here, so path 479 is past the first
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
+    digest, failure = _block_fed_outputs()
+    # taken when path_ensemble still drew every row at once
+    assert digest == "a578fbe1d397f2bdce18cfb34c7c57ef83059d8b3791cf4f0948f6568e164804"
+    assert failure == ("price 0.0 on path 479 at step 26 (seed 1): "
+                       "the log price left the float range")
+
+
+def test_traced_peak_holds_one_block_of_paths():
+    # numpy reports its buffers to tracemalloc; the warm-up call fills the
+    # spectral weight cache. Whole paths read 160.2 and 19.7 MiB.
+    sigma_t, _ = mean_variance_fit(ModelParams(), 20.0)
+    opt = OptionInputs(spot=1.0, strike=1.0, rate=0.0, sigma_t=sigma_t, tau=20.0)
+    calls = {16: lambda: monte_carlo_price(opt, ModelParams(), 100_000),
+             12: lambda: path_ensemble(ModelParams(), 1000, 1.0, n_paths=256)}
+    for mib, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
 
 
 def test_ensemble_terminal_mean_at_zero_drift():
