@@ -27,6 +27,11 @@ def _ensemble_csv():
     fracvol.io.ensemble_csv(times, prices)
 
 
+def _cold_weights():
+    fracvol.fgn._spectral_weights.cache_clear()  # so the traced call is a miss too
+    fracvol.fgn._spectral_weights(2**20, 0.83)
+
+
 def _monte_carlo():
     params = fracvol.ModelParams()
     sigma_t, _ = fracvol.pricing.mean_variance_fit(params, 20.0)
@@ -35,7 +40,9 @@ def _monte_carlo():
 
 
 CASES = {
+    "_spectral_weights 2^20, cold": _cold_weights,
     "generate_fgn 2^20": lambda: fracvol.generate_fgn(2**20, 0.83),
+    "generate_fgn 65537": lambda: fracvol.generate_fgn(65537, 0.83),
     "simulate_path 2^16 + market_path_csv": _path_csv,
     "path_ensemble 256x1000 + ensemble_csv": _ensemble_csv,
     "monte_carlo_price 100k paths": _monte_carlo,

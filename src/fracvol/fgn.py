@@ -11,7 +11,9 @@ embedding of the fGn covariance (O(n log n)). The embedding is nonnegative
 definite for every 0 < H <= 1 (Dietrich & Newsam 1997; Craigmile 2003), so
 its computed eigenvalues go negative only through round-off in the
 autocovariance. Those above a round-off bound derived from n and H are
-clipped to zero; anything lower raises GenerationError.
+clipped to zero; anything lower raises GenerationError. Each transform is
+a complex FFT run in place on one buffer of 2n complex values (32 MiB at
+n = 2^20), so no complex cast or separate output array is allocated.
 
 The n + 1 spectral weights the sampler multiplies its normals by depend only
 on (n, H), so they are computed once per key and kept in a bounded LRU cache
@@ -111,15 +113,17 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
     """Eigenvalues of the 2n-circulant embedding, clipped at zero.
 
     The first row is the even extension [gamma(0..n), gamma(n-1..1)] of the
-    unit-spacing autocovariance; its DFT is real. Each gamma(k) cancels
+    unit-spacing autocovariance, written into the real part of the buffer
+    that is transformed; its DFT is real. Each gamma(k) cancels
     terms of size (k+1)^(2H), so its absolute error is about
     eps (k+1)^(2H) and an eigenvalue's is at most 2 eps sum_row
     (|lag|+1)^(2H) <= 4 eps (n+2)^(2H+1) / (2H+1). Negative eigenvalues
     within that bound are round-off; one below it is a genuine failure.
     """
-    gamma = fgn_autocovariance(np.arange(n + 1), hurst)
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigs = np.fft.fft(row).real
+    row = np.zeros(2 * n, dtype=complex)  # transformed in place
+    row.real[: n + 1] = fgn_autocovariance(np.arange(n + 1), hurst)
+    row.real[n + 1 :] = row.real[n - 1 : 0 : -1]
+    eigs = np.fft.fft(row, out=row).real
     two_h1 = 2.0 * hurst + 1.0
     bound = 4.0 * np.finfo(float).eps * (n + 2.0) ** two_h1 / two_h1
     lowest = float(eigs.min())
@@ -129,7 +133,7 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
             f"H={hurst!r}: eigenvalue {lowest:.6g} is below the round-off "
             f"bound {-bound:.6g}"
         )
-    return np.clip(eigs, 0.0, None)
+    return np.maximum(eigs, 0.0, out=eigs)
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE)
@@ -163,7 +167,7 @@ def _fgn_circulant(n: int, weights: np.ndarray, rng: np.random.Generator,
     del z
     re[:, n + 1 :] = re[:, n - 1 : 0 : -1]
     np.negative(im[:, n - 1 : 0 : -1], out=im[:, n + 1 :])
-    return np.fft.fft(v, axis=1).real[:, :n]
+    return np.fft.fft(v, axis=1, out=v).real[:, :n]
 
 
 def _sample_unit_fgn(n: int, hurst: float, rng: np.random.Generator,

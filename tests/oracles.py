@@ -37,6 +37,34 @@ def fbm_covariance(s, t, hurst: float):
     return out if out.ndim else float(out)
 
 
+def ref_fgn_gamma(n: int, hurst: float) -> np.ndarray:
+    """gamma(0..n-1) of unit-spacing fGn:
+    (|k+1|^(2H) - 2|k|^(2H) + |k-1|^(2H)) / 2."""
+    k = np.arange(n, dtype=float)
+    two_h = 2.0 * hurst
+    return 0.5 * (np.abs(k + 1) ** two_h - 2.0 * k ** two_h + np.abs(k - 1) ** two_h)
+
+
+def ref_fgn_circulant(n: int, hurst: float, rng: np.random.Generator,
+                      n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, (n_paths, n) samples) of the circulant-embedding sampler in
+    its plain out-of-place form: the even row concatenated, np.clip's copy,
+    the Hermitian spectrum built from complex temporaries and a fresh FFT
+    output. The package transforms in place; the bits must not differ."""
+    gamma = ref_fgn_gamma(n + 1, hurst)
+    eigs = np.clip(np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0, None)
+    m = 2 * n
+    weights = np.concatenate([np.sqrt(eigs[:1] / m), np.sqrt(eigs[1:n] / (2.0 * m)),
+                              np.sqrt(eigs[n : n + 1] / m)])
+    z = rng.standard_normal((n_paths, m))
+    v = np.empty((n_paths, m), dtype=complex)
+    v[:, 0] = weights[0] * z[:, 0]
+    v[:, n] = weights[n] * z[:, 1]
+    v[:, 1:n] = weights[1:n] * (z[:, 2 : n + 1] + 1j * z[:, n + 1 : m])
+    v[:, n + 1 :] = np.conj(v[:, n - 1 : 0 : -1])
+    return weights, np.fft.fft(v, axis=1).real[:, :n]
+
+
 def fgn_durbin_levinson(n: int, hurst: float, rng: np.random.Generator,
                         n_paths: int) -> np.ndarray:
     """(n_paths, n) unit-spacing fGn from the exact sequential recursion.
@@ -44,10 +72,7 @@ def fgn_durbin_levinson(n: int, hurst: float, rng: np.random.Generator,
     O(n^2), exact for every 0 < H < 1; the reference the circulant sampler
     is compared against.
     """
-    k = np.arange(n, dtype=float)
-    two_h = 2.0 * hurst
-    gamma = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * k ** two_h
-                   + np.abs(k - 1) ** two_h)
+    gamma = ref_fgn_gamma(n, hurst)
     z = rng.standard_normal((n_paths, n))
     out = np.empty((n_paths, n))
     out[:, 0] = np.sqrt(gamma[0]) * z[:, 0]

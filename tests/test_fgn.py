@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from oracles import fbm_covariance, fgn_durbin_levinson
+from conftest import warm_traced_peak
+from oracles import fbm_covariance, fgn_durbin_levinson, ref_fgn_circulant
 
 from fracvol import fgn
 from fracvol.errors import GenerationError, ParameterError
@@ -93,6 +94,15 @@ def test_near_unit_hurst_embedding_is_clipped_not_refused():
     assert 0.5 < x.var() / (1.0 - n ** (2.0 * h - 2.0)) < 2.0
 
 
+@pytest.mark.parametrize("hurst", [0.3, 0.83, 0.99999])
+@pytest.mark.parametrize("n", [1, 2, 257, 4096, 65537])  # 65537 is prime: Bluestein
+def test_in_place_spectra_match_the_plain_sampler_bit_for_bit(n, hurst):
+    for rows in (1, 3):
+        weights, samples = ref_fgn_circulant(n, hurst, substream(11), rows)
+        assert fgn._spectral_weights(n, hurst).tobytes() == weights.tobytes()
+        assert _sample_unit_fgn(n, hurst, substream(11), rows).tobytes() == samples.tobytes()
+
+
 def test_embedding_beyond_round_off_is_refused(monkeypatch):
     # gamma = (1, 0.9, 0) is not a covariance: its 4-circulant has the
     # eigenvalue 1 - 2 * 0.9 = -0.8, far below any round-off bound
@@ -150,6 +160,18 @@ def test_repeated_simulations_compute_the_weights_once():
         simulate_path(ModelParams(), 2**12, 1.0, seed=seed)
     info = fgn._spectral_weights.cache_info()
     assert (info.misses, info.hits) == (1, 7)
+
+
+def test_traced_peak_holds_one_complex_spectrum():
+    # at n = 2^20 one complex spectrum of length 2n is 32 MiB. Out-of-place
+    # transforms read 88.0 MiB for the cold weights and 64.0 MiB for a warm
+    # sample; in place, 72.0 and 48.0.
+    def cold_weights():
+        fgn._spectral_weights.cache_clear()
+        fgn._spectral_weights(2**20, 0.83)
+    calls = {80: cold_weights, 56: lambda: generate_fgn(2**20, 0.83)}
+    for mib, call in calls.items():
+        assert warm_traced_peak(call) <= mib * 2**20
 
 
 def test_fbm_accumulation():

@@ -1,11 +1,12 @@
 """Price-path generator contracts: shapes, determinism, grid rules."""
 import hashlib
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+
+from conftest import warm_traced_peak
 
 from fracvol import simulate
 from fracvol.errors import GenerationError, GridMismatchError, ParameterError
@@ -123,21 +124,14 @@ def test_block_size_changes_no_bit(monkeypatch, cells):
 
 
 def test_traced_peak_holds_one_block_of_paths():
-    # numpy reports its buffers to tracemalloc; the warm-up call fills the
-    # spectral weight cache. Whole paths read 160.2 and 19.7 MiB.
+    # the warm-up call fills the spectral weight cache. Whole paths read
+    # 160.2 and 19.7 MiB.
     sigma_t, _ = mean_variance_fit(ModelParams(), 20.0)
     opt = OptionInputs(spot=1.0, strike=1.0, rate=0.0, sigma_t=sigma_t, tau=20.0)
     calls = {16: lambda: monte_carlo_price(opt, ModelParams(), 100_000),
              12: lambda: path_ensemble(ModelParams(), 1000, 1.0, n_paths=256)}
     for mib, call in calls.items():
-        call()
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= mib * 2**20
+        assert warm_traced_peak(call) <= mib * 2**20
 
 
 def test_ensemble_terminal_mean_at_zero_drift():
