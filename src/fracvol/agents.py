@@ -21,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (Checked, GenerationError, ParameterError, finite, integer, nonnegative,
-                     one_of, positive, within_cells)
+from .errors import (Checked, GenerationError, ParameterError, finite, holds, integer,
+                     nonnegative, one_of, positive, within_cells)
 from .estimation import (WINDOW, EstimationReport, estimate_report, integer_lags,
                          pipeline_logvol)
 from .rng import _ABM_STREAM, SEEDS, substream
@@ -48,10 +48,8 @@ class Strategy(Checked):
     entries: tuple[int, int, int, int]
 
     def validate(self) -> None:
-        if len(self.entries) != 4 or any(e not in (-1, 0, 1) for e in self.entries):
-            raise ParameterError(
-                f"strategy entries must be four values in {{-1,0,1}}, got {self.entries!r}"
-            )
+        holds(self.entries, lambda s: len(s) == 4 and all(e in (-1, 0, 1) for e in s),
+              "strategy entries must be four values in {-1,0,1}")
 
 
 def strategy_code(strategy: Strategy) -> int:
@@ -94,10 +92,7 @@ class ImpactParams(Checked):
     def validate(self) -> None:
         positive(lambda0=self.lambda0)
         nonnegative(lambda1=self.lambda1)
-        if not 0.0 < self.alpha_exponent <= 1.0:
-            raise ParameterError(
-                f"alpha_exponent must lie in (0, 1], got {self.alpha_exponent!r}"
-            )
+        holds(self.alpha_exponent, lambda a: 0.0 < a <= 1.0, "alpha_exponent must lie in (0, 1]")
 
 
 @dataclass
@@ -120,6 +115,8 @@ class MarketEnv(Checked):
     beta_f: float = 25.0
 
     def validate(self) -> None:
+        holds(self.impact, lambda i: isinstance(i, ImpactParams),
+              "impact must be an ImpactParams")
         nonnegative(noise_sigma=self.noise_sigma, value_walk_sigma=self.value_walk_sigma)
         one_of("f_choice", self.f_choice, (STEP_F, LOGISTIC_F))
         positive(beta_f=self.beta_f)
@@ -143,10 +140,8 @@ class EvolutionParams(Checked):
 
     def validate(self) -> None:
         integer(1, period=self.period, copiers=self.copiers)
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ParameterError(
-                f"mutation_prob must lie in [0, 1], got {self.mutation_prob!r}"
-            )
+        one_of("random_selection", self.random_selection, (False, True))
+        holds(self.mutation_prob, lambda q: 0.0 <= q <= 1.0, "mutation_prob must lie in [0, 1]")
 
 
 def _signal_weight(x: float, f_choice: str, beta_f: float) -> float:
@@ -353,9 +348,12 @@ class ExperimentConfig(Checked):
             integer_lags(self.scaling_lags, "scaling_lags")
         positive(unit_investment=self.unit_investment, price0=self.price0)
         finite(cash0=self.cash0, stock0=self.stock0)
+        holds(self.evolution, lambda e: e is None or isinstance(e, EvolutionParams),
+              "evolution must be an EvolutionParams or None")
         # built to be checked: run_experiment builds both from these fields
-        MarketEnv(noise_sigma=self.noise_sigma, value_walk_sigma=self.value_walk_sigma,
-                  f_choice=self.f_choice, beta_f=self.beta_f)
+        MarketEnv(impact=self.impact, noise_sigma=self.noise_sigma,
+                  value_walk_sigma=self.value_walk_sigma, f_choice=self.f_choice,
+                  beta_f=self.beta_f)
         Population.from_counts(self.population)
 
 

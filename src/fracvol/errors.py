@@ -8,8 +8,10 @@ positive and finite, got nan". None, strings, NaN and +-inf fail finite,
 positive ("positive and finite") and nonnegative ("nonnegative and
 finite"); integer ("an integer >= lo", or "in [lo, hi]") takes ints and
 numpy integers but never floats, so no count is truncated; within_cells
-bounds a count by the cells an array may hold. Only math, operator and sys
-are imported, because `import fracvol` loads this module.
+bounds a count by the cells an array may hold; holds checks any other rule,
+given as a test, which a value whose type makes it raise TypeError fails.
+Only math, operator and sys are imported, because `import fracvol` loads
+this module.
 """
 import math
 import operator
@@ -105,6 +107,17 @@ def within_cells(**named) -> None:
         if value > MAX_CELLS:
             raise ParameterError(f"{name} must be at most {MAX_CELLS}, the cells an "
                                  f"array may hold, got {value!r}")
+
+
+def holds(value, test, must: str) -> None:
+    """test(value) is true; else ParameterError(f"{must}, got {value!r}"),
+    also when test raises TypeError on a value of the wrong type."""
+    try:
+        ok = test(value)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"{must}, got {value!r}")
 
 
 def one_of(name: str, value, options: tuple) -> None:

@@ -9,7 +9,10 @@ price moves, the window recenters and resting orders left outside it are
 dropped.
 
 These rules are written once, in _transition, over a book kept as two lists
-across the window; run_lob is the only entry point. Each arrival takes one
+across the window; run_lob is the only entry point. Limit events have the
+codes below 2, and the low bit of a code is the event's side: asks and
+pending buys for limit asks and market buys, bids and pending sells for the
+other two, so each rule is one branch for both sides. Each arrival takes one
 rng.random() for its event and, for a limit event, one rng.integers(span)
 for its slot: span is 2*half_width + 1 across the window two-sided, or
 half_width slots above the price for asks and below it for bids sides-only.
@@ -29,7 +32,7 @@ from itertools import accumulate, chain, islice, product, starmap
 
 import numpy as np
 
-from .errors import (Checked, GenerationError, ParameterError, integer, one_of, positive,
+from .errors import (Checked, GenerationError, holds, integer, one_of, positive,
                      within_cells)
 from .estimation import WINDOW, induced_volatility, pipeline_logvol
 from .rng import _LOB_STREAM, SEEDS, substream
@@ -84,11 +87,9 @@ class LobParams(Checked):
         within_cells(steps=self.steps)
         positive(order_size=self.order_size, slot_size=self.slot_size,
                  initial_price=self.initial_price)
-        p = self.event_probs
-        if len(p) != 4 or not all(q >= 0 for q in p) or not abs(sum(p) - 1.0) <= 1e-12:
-            raise ParameterError(
-                f"event_probs must be 4 nonnegative values summing to 1, got {p!r}"
-            )
+        holds(self.event_probs,
+              lambda p: len(p) == 4 and all(q >= 0 for q in p) and abs(sum(p) - 1.0) <= 1e-12,
+              "event_probs must be 4 nonnegative values summing to 1")
         one_of("placement", self.placement, (TWO_SIDED, SIDES_ONLY))
 
 
@@ -199,89 +200,65 @@ def _transition(book: tuple, arrivals, count: int, order_size: float, record=Non
     The book is (asks, bids, n_asks, n_bids, pending_buys, pending_sells, p).
     Each side is a list over the window whose index j holds slot p - w + j,
     so index w is the price slot p; n_asks and n_bids count the nonzero
-    entries. A limit order first serves the opposing pending register and
-    the price moves to its arrival slot when anything matched; the rest
-    rests there, before the window recenters on it. A market order takes up
-    to one unit from the closest opposing slot (ties resolve to the
-    price-improving side), moves the price there and parks any shortfall in
-    its register. After each event, record (a callable) gets p, and a trace
-    list gets an (event, slot, x0 + dx * p) tuple: slot is the arrival slot
-    of a limit order and the post-event price slot p of a market order.
+    entries. An event's side s = event & 1 pairs asks, pending_buys and the
+    buy scan order (0) or bids, pending_sells and the sell scan order (1). A
+    limit order first serves its side's register and the price moves to its
+    arrival slot when anything matched; the rest rests there, before the
+    window recenters on it. A market order takes up to one unit from its
+    side's closest slot (ties resolve to the price-improving side), moves the
+    price there and parks any shortfall in its side's register. After each
+    event, record (a callable) gets p, and a trace list gets an (event,
+    slot, x0 + dx * p) tuple: slot is the arrival slot of a limit order and
+    the post-event price slot p of a market order.
     """
-    asks, bids, n_asks, n_bids, pending_buys, pending_sells, p = book
-    w = len(asks) // 2
+    sides, counts, pending, p = book[:2], list(book[2:4]), list(book[4:6]), book[6]
+    w = len(sides[0]) // 2
     zeros = [0.0] * w
-    # closest-first scans; ties go to the lower slot for buys, higher for sells
-    buy_scan, sell_scan = [w], [w]
-    for k in range(1, w + 1):
-        buy_scan += (w - k, w + k)
-        sell_scan += (w + k, w - k)
+    # closest-first scan orders; ties go to the lower slot for buys, the higher
+    # for sells, whose order mirrors the buys' about w
+    buy_scan = [w] + [i for k in range(1, w + 1) for i in (w - k, w + k)]
+    scans = (buy_scan, [2 * w - i for i in buy_scan])
     for event, j in islice(arrivals, count):
+        s = event & 1
+        side = sides[s]
         move = w
-        if event == LIMIT_ASK:
-            slot = p - w + j
+        if event < 2:  # limit order
             size = order_size
-            if pending_buys > 0:
-                matched = min(size, pending_buys)
-                pending_buys -= matched
+            if pending[s] > 0.0:
+                matched = min(size, pending[s])
+                pending[s] -= matched
                 size -= matched
                 move = j
-            if size > 0:
-                if not asks[j]:
-                    n_asks += 1
-                asks[j] += size
-        elif event == LIMIT_BID:
-            slot = p - w + j
-            size = order_size
-            if pending_sells > 0:
-                matched = min(size, pending_sells)
-                pending_sells -= matched
-                size -= matched
-                move = j
-            if size > 0:
-                if not bids[j]:
-                    n_bids += 1
-                bids[j] += size
-        elif event == MARKET_BUY:
-            if n_asks:
-                for move in buy_scan:
-                    if asks[move]:
-                        break
-                size = asks[move]  # take one unit, park the shortfall
-                if size > 1.0:
-                    asks[move] = size - 1.0
-                else:
-                    asks[move] = 0.0
-                    n_asks -= 1
-                    pending_buys += 1.0 - size
+            if size > 0.0:
+                if not side[j]:
+                    counts[s] += 1
+                side[j] += size
+        elif counts[s]:  # market order against resting orders
+            for move in scans[s]:
+                if side[move]:
+                    break
+            size = side[move]  # take one unit, park the shortfall
+            if size > 1.0:
+                side[move] = size - 1.0
             else:
-                pending_buys += 1.0
-        else:
-            if n_bids:
-                for move in sell_scan:
-                    if bids[move]:
-                        break
-                size = bids[move]  # take one unit, park the shortfall
-                if size > 1.0:
-                    bids[move] = size - 1.0
-                else:
-                    bids[move] = 0.0
-                    n_bids -= 1
-                    pending_sells += 1.0 - size
-            else:
-                pending_sells += 1.0
+                side[move] = 0.0
+                counts[s] -= 1
+                pending[s] += 1.0 - size
+        else:  # market order on an empty side: it waits in the register
+            pending[s] += 1.0
         if move != w:
             shift = move - w
             p += shift
-            if n_asks:
-                n_asks -= _recenter(asks, shift, zeros)
-            if n_bids:
-                n_bids -= _recenter(bids, shift, zeros)
+            if counts[0]:
+                counts[0] -= _recenter(sides[0], shift, zeros)
+            if counts[1]:
+                counts[1] -= _recenter(sides[1], shift, zeros)
         if record:
             record(p)
             if trace is not None:
-                trace.append((event, slot if event <= LIMIT_BID else p, float(x0 + dx * p)))
-    return asks, bids, n_asks, n_bids, pending_buys, pending_sells, p
+                # p moved by move - w, so a limit order arrived at slot p - move + j
+                trace.append((event, p - move + j if event < 2 else p, float(x0 + dx * p)))
+    return (*sides, *counts, *pending, p)
 
 
 def run_lob(params: LobParams, trace: list | None = None) -> MarketPath:

@@ -158,6 +158,18 @@ def test_population_bookkeeping():
         Population.from_counts([])
     with pytest.raises(ParameterError):
         Population.from_counts([(72, 0)])
+    with pytest.raises(ParameterError, match=r"^strategy entries must be in \{-1,0,1\}$"):
+        Population([[1, 0, 2, -1]], [0.0], [0.0], [0.0])
+
+
+def test_step_past_the_float_range_raises_overflow_and_settles_nothing():
+    # all-hold agents place no orders, so the log price stays past exp's range
+    env = MarketEnv(z=710.0, z_prev=710.0, xi=710.0, noise_sigma=0.0,
+                    value_walk_sigma=0.0)
+    pop = Population.from_counts([(40, 3)])
+    with pytest.raises(OverflowError, match=r"^log price 710\.0 is past the float range$"):
+        step(env, pop, substream(0, 99))
+    assert pop.cash.tolist() == [0.0] * 3 and pop.stock.tolist() == [0.0] * 3
 
 
 def test_pipeline_logvol_alignment():

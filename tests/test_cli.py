@@ -163,6 +163,15 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
+def test_atomic_write_failure_removes_temp_and_reraises(tmp_path):
+    target = tmp_path / "out.json"
+    target.mkdir()  # the rename onto a directory fails after the write
+    with pytest.raises(IsADirectoryError):
+        atomic_write(str(target), "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert not any(target.iterdir())
+
+
 def test_serialization_helpers():
     payload = {"b": np.float64(2.5), "a": np.arange(3),
                "nested": {"x": (np.int64(1), 2)}}

@@ -1,5 +1,6 @@
 """The package's export table: every public name resolves to the object its
-defining module holds, however it is reached."""
+defining module holds, however it is reached; and the scripts that reach
+into its private names still run."""
 import ast
 import dataclasses
 import importlib
@@ -17,16 +18,37 @@ import fracvol
 from fracvol.errors import Checked, ParameterError
 
 
-def _fresh_python(code):
-    """stdout of code run in a new interpreter, where nothing is resolved yet."""
+def _fresh_python(*args):
+    """stdout of a new interpreter, where nothing is resolved yet, given args:
+    "-c" and code, or a script and its arguments."""
     package_root = os.path.dirname(os.path.dirname(
         os.path.abspath(fracvol.__file__)))
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_kernel_accuracy_script_finds_the_alpha_cap():
+    # the script calls pricing._mixture and pricing._contract directly
+    from fracvol.pricing import _ALPHA_MAX
+    verdict = _fresh_python(str(SCRIPTS / "kernel_accuracy.py")).splitlines()[-1]
+    held = verdict.split("holds 1e-10: ")[1].split(";")[0]
+    assert float(held) == _ALPHA_MAX, verdict
+
+
+def test_peak_memory_script_prints_a_result_row():
+    # the script reaches fgn, io and pricing internals through fracvol
+    lines = _fresh_python(str(SCRIPTS / "peak_memory.py"), "smile_surface default").splitlines()
+    assert len(lines) == 2 and lines[0].split() == ["case", "start", "rss", "peak", "traced"]
+    name, figures = lines[1][:40].strip(), lines[1][40:].split()
+    assert name == "smile_surface default" and len(figures) == 3, lines[1]
+    assert all(float(f) > 0 for f in figures), lines[1]
 
 
 def test_every_export_resolves_to_its_module_attribute():
@@ -44,7 +66,7 @@ def test_star_import_binds_every_export():
     missing = [n for n in fracvol.__all__ if n not in namespace]
     assert missing == []
     assert all(namespace[n] is getattr(fracvol, n) for n in fracvol.__all__)
-    assert _fresh_python("from fracvol import *; import fracvol; "
+    assert _fresh_python("-c", "from fracvol import *; import fracvol; "
                          "print(sorted(set(fracvol.__all__) - set(globals())))"
                          ) == "[]"
 
@@ -56,7 +78,7 @@ def test_dir_lists_the_exports():
 def test_submodules_stay_reachable():
     from fracvol import pricing
     assert fracvol.pricing is pricing
-    assert _fresh_python("import fracvol; "
+    assert _fresh_python("-c", "import fracvol; "
                          "print(fracvol.pricing.__name__, fracvol.rng.__name__)"
                          ) == "fracvol.pricing fracvol.rng"
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from fracvol.agents import (EvolutionParams, ExperimentConfig, ImpactParams,
-                            MarketEnv, Population, run_experiment,
+                            MarketEnv, Population, Strategy, run_experiment,
                             strategy_decode)
 from fracvol.errors import (MAX_CELLS, GenerationError, GridMismatchError,
-                            ParameterError, finite, grid_ratio, integer, nonnegative,
-                            one_of, positive, within_cells)
+                            ParameterError, finite, grid_ratio, holds, integer,
+                            nonnegative, one_of, positive, within_cells)
 from fracvol.estimation import (autocorrelation, estimate_report, induced_volatility,
                                 integrated_logvol_decompose, leverage, scaling_exponent)
 from fracvol.fgn import check_hurst, fgn_autocovariance, generate_fgn
@@ -63,6 +63,17 @@ def test_integer_accepts_numpy_integers_within_bounds():
         integer(0, 80, code=81)
     with pytest.raises(ParameterError, match=r"^window must be an integer >= 8, got 7$"):
         integer(8, window=7)
+
+
+def test_holds_keeps_the_wording_and_fails_wrong_types():
+    def in_unit(q):
+        return 0.0 <= q <= 1.0
+
+    holds(0.5, in_unit, "q must lie in [0, 1]")
+    for bad in (1.5, math.nan, None, "0.5"):  # the last two raise TypeError in the test
+        wording = rf"^q must lie in \[0, 1\], got {re.escape(repr(bad))}$"
+        with pytest.raises(ParameterError, match=wording):
+            holds(bad, in_unit, "q must lie in [0, 1]")
 
 
 def test_one_of_and_grid_ratio():
@@ -206,6 +217,21 @@ BAD_CALLS = {
     "ExperimentConfig-population-empty": lambda: ExperimentConfig(population=()),
     "smile_surface-taus-nan":
         lambda: smile_surface(MODEL, 0.01, taus=np.array([5.0, math.nan])),
+    "smile_surface-moneyness-2d":
+        lambda: smile_surface(MODEL, 0.01, moneyness=np.ones((2, 3))),
+    "smile_surface-taus-empty": lambda: smile_surface(MODEL, 0.01, taus=[]),
+    # a non-number in a hand-written range raised a raw TypeError
+    "ImpactParams-alpha_exponent-str": lambda: ImpactParams(alpha_exponent="0.5"),
+    "EvolutionParams-mutation_prob-str": lambda: EvolutionParams(mutation_prob="0.1"),
+    "LobParams-event_probs-str": lambda: LobParams(event_probs=("0.25",) * 4),
+    "LobParams-event_probs-None": lambda: LobParams(event_probs=None),
+    "Strategy-entries-None": lambda: Strategy(entries=None),
+    # a wrong type was accepted when built: a truthy string turned random
+    # selection on, and run_experiment failed with a raw AttributeError
+    "EvolutionParams-random_selection-str": lambda: EvolutionParams(random_selection="no"),
+    "ExperimentConfig-evolution-str": lambda: ExperimentConfig(evolution="x"),
+    "ExperimentConfig-impact-None": lambda: ExperimentConfig(impact=None),
+    "MarketEnv-impact-None": lambda: MarketEnv(impact=None),
 }
 
 
