@@ -10,9 +10,14 @@ arrays. Prints one line per case, in MiB; name cases to run only those.
 
     PYTHONPATH=src python scripts/peak_memory.py [case ...]
 """
+import atexit
+import functools
+import os
 import resource
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import fracvol
@@ -25,6 +30,19 @@ def _path_csv():
 def _ensemble_csv():
     times, prices, _ = fracvol.path_ensemble(fracvol.ModelParams(), 1000, 1.0, n_paths=256)
     fracvol.io.ensemble_csv(times, prices)
+
+
+@functools.cache
+def _export() -> str:
+    """A market_path_csv export of a 2^16-step path, written once per process
+    into a directory removed at exit; the first ingest case call writes it,
+    so only the traced figure is ingest_prices alone."""
+    directory = tempfile.mkdtemp(prefix="fracvol-peak-")
+    atexit.register(shutil.rmtree, directory)
+    file_path = os.path.join(directory, "path.csv")
+    fracvol.io.atomic_write(file_path, fracvol.io.market_path_csv(
+        fracvol.simulate_path(fracvol.ModelParams(), 2**16, 1.0)))
+    return file_path
 
 
 def _cold_weights():
@@ -45,6 +63,7 @@ CASES = {
     "generate_fgn 65537": lambda: fracvol.generate_fgn(65537, 0.83),
     "simulate_path 2^16 + market_path_csv": _path_csv,
     "path_ensemble 256x1000 + ensemble_csv": _ensemble_csv,
+    "ingest_prices 2^16 export": lambda: fracvol.io.ingest_prices(_export()),
     "monte_carlo_price 100k paths": _monte_carlo,
     "smile_surface default": lambda: fracvol.smile_surface(fracvol.ModelParams(), 0.01),
 }

@@ -115,6 +115,7 @@ class MarketEnv(Checked):
     beta_f: float = 25.0
 
     def validate(self) -> None:
+        finite(z=self.z, z_prev=self.z_prev, xi=self.xi)
         holds(self.impact, lambda i: isinstance(i, ImpactParams),
               "impact must be an ImpactParams")
         nonnegative(noise_sigma=self.noise_sigma, value_walk_sigma=self.value_walk_sigma)
@@ -354,6 +355,8 @@ class ExperimentConfig(Checked):
         MarketEnv(impact=self.impact, noise_sigma=self.noise_sigma,
                   value_walk_sigma=self.value_walk_sigma, f_choice=self.f_choice,
                   beta_f=self.beta_f)
+        holds(self.population, lambda mix: all(len(entry) == 2 for entry in mix),
+              "population must be (strategy code, count) pairs")
         Population.from_counts(self.population)
 
 

@@ -147,8 +147,10 @@ def scaling_exponent(r_sigma, lags=None) -> tuple[float, float]:
     """Slope of log E|R(t + lag) - R(t)| against log lag, with its stderr."""
     r = _finite_values("r_sigma", r_sigma)
     n = len(r)
-    lags = np.unique(default_scaling_lags(n) if lags is None else integer_lags(lags))
+    # sorted, in range, each once; np.unique would import numpy.ma
+    lags = np.sort(default_scaling_lags(n) if lags is None else integer_lags(lags), axis=None)
     lags = lags[(lags >= 1) & (lags < n)]
+    lags = lags[np.diff(lags, prepend=0) > 0]
     if len(lags) < 4:
         raise InsufficientDataError(
             f"need at least 4 usable lags below the series length {n}"

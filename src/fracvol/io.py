@@ -1,10 +1,14 @@
 """Artifact plumbing: price-series CSV exchange, report JSON, atomic writes.
 
 CSV is the exchange format for price paths (header `t,price`, full-precision
-floats, so export -> ingest round-trips bit-identically). Reports serialize
-to JSON with sorted keys so identical runs produce identical bytes. All
-writes go through a temp file and an atomic rename; readers never see a
-partial artifact.
+floats, so export -> ingest round-trips bit-identically). Rows are written
+in blocks of about CSV_BLOCK_CELLS cells, one %-format per block. A price
+file is read in up to three tiers, each reached only when the one before
+cannot take the file: numpy's C tokenizer, a split parse that takes every
+spelling float() takes, then a row-by-row validator that names each bad row
+(see ingest_prices). Reports serialize to JSON with sorted keys so identical
+runs produce identical bytes. All writes go through a temp file and an
+atomic rename; readers never see a partial artifact.
 """
 from __future__ import annotations
 
@@ -20,6 +24,10 @@ from .estimation import EstimationReport
 from .simulate import MarketPath
 
 PRICE_HEADER = "t,price"
+# cells a CSV block holds: csv_text formats whole rows, at least one, with
+# one %-format per block, so the per-block cost is shared by thousands of
+# cells while a wide ensemble's block stays a few rows long
+CSV_BLOCK_CELLS = 4096
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -37,10 +45,21 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def csv_text(header: str, *columns) -> str:
-    """The header line, then row i joins element i of every column with ","
-    (str of a Python float is its full-precision repr), ending in a newline."""
-    rows = map(",".join, zip(*[map(str, column) for column in columns]))
-    return "\n".join([header, *rows]) + "\n"
+    """The header line, then row i joins str of element i of every column
+    with "," (str of a Python float is its full-precision repr), each line
+    ending in a newline. The columns have equal lengths; "%s" formats a
+    value as str does."""
+    width, n = len(columns), min(map(len, columns), default=0)
+    cells = [None] * (width * n)  # row-major: cell (i, j) at i * width + j
+    for j, column in enumerate(columns):
+        cells[j::width] = column
+    line = ",".join(["%s"] * width) + "\n"
+    step = max(1, CSV_BLOCK_CELLS // max(width, 1))  # rows a block holds
+    blocks = [header + "\n"]
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        blocks.append(line * rows % tuple(cells[start * width:(start + rows) * width]))
+    return "".join(blocks)
 
 
 def market_path_csv(path: MarketPath) -> str:
@@ -64,9 +83,18 @@ def ingest_prices(file_path: str) -> MarketPath:
     their line numbers. The result's logvol is NaN (unknown for ingested
     data) and its seed is 0.
 
-    A well-formed file is parsed in bulk: one np.array(fields, dtype=float),
-    which accepts the same strings as float(), and vectorised checks. Any
-    other file goes through the row-by-row validator, which names its rows.
+    The lines after the header, split by str.splitlines, stripped and with
+    blank ones dropped, are read by the first of three tiers that takes them:
+    1. numpy's C tokenizer (np.loadtxt), in bulk. It reads a subset of the
+       spellings float() reads, to the same bits. It is given these lines,
+       never the file: splitlines also ends a line at a form feed, U+2028
+       and the like, where the tokenizer would read on.
+    2. When the tokenizer refuses a field (underscored digits, another
+       script's digits) or a row's field count: one comma per row, then one
+       np.array(fields, dtype=float), which reads what float() reads.
+    3. Any file that neither tier reads into two columns passing the bulk
+       checks (all finite, times increasing, prices positive): the
+       row-by-row validator, which names its bad rows.
     """
     with open(file_path, "r") as handle:
         raw = handle.read().splitlines()
@@ -76,18 +104,30 @@ def ingest_prices(file_path: str) -> MarketPath:
             f"line 1: expected header {PRICE_HEADER!r}, got {found!r}",
             lines=[(1, f"bad header {found!r}")])
     rows = [text for text in map(str.strip, raw[1:]) if text]
-    # one comma per row, or the joined fields would pair across rows
-    if rows and all(text.count(",") == 1 for text in rows):
+    if rows:
         try:
-            values = np.array(",".join(rows).split(","), dtype=float)
-        except ValueError:  # a field that float() rejects
-            return _ingest_rows(raw)
-        times, prices = values.reshape(-1, 2).T.copy()
-        if (np.isfinite(values).all() and (times[1:] > times[:-1]).all()
-                and (prices > 0).all()):
-            return MarketPath(times=times, prices=prices,
-                              logvol=np.full(len(times), np.nan), seed=0)
+            values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a field or a row shape the tokenizer refuses
+            values = _split_parse(rows)
+        if values is not None and values.shape[1] == 2:
+            times, prices = values.T.copy()
+            if (np.isfinite(values).all() and (times[1:] > times[:-1]).all()
+                    and (prices > 0).all()):
+                return MarketPath(times=times, prices=prices,
+                                  logvol=np.full(len(times), np.nan), seed=0)
     return _ingest_rows(raw)
+
+
+def _split_parse(rows: list[str]) -> np.ndarray | None:
+    """The rows as an (n, 2) array by float()'s rules, or None when a row
+    has other than one comma or a field is not a number to float()."""
+    # one comma per row, or the joined fields would pair across rows
+    if not all(text.count(",") == 1 for text in rows):
+        return None
+    try:
+        return np.array(",".join(rows).split(","), dtype=float).reshape(-1, 2)
+    except ValueError:
+        return None
 
 
 def _ingest_rows(raw: list[str]) -> MarketPath:

@@ -115,6 +115,15 @@ _INGEST_CASES = {
     "repeated-time": ("0,1\n0,2\n", False),
     "decreasing-time": ("0,1\n2,1\n1,1\n3,1\n", False),
     "only-blank-rows": ("\n \n", False),
+    # splitlines ends a row at the form feed, so the tokenizer sees "0" and ",1"
+    "form-feed-inside-row": ("0\x0c,1\n1,2\n", False),
+    # the tokenizer parses these into three columns, which is not a price file
+    "uniform-three-fields": ("0,1,2\n1,2,3\n", False),
+    "one-row-three-fields": ("1,2,3\n", False),
+    "nul-in-field": ("0,1\x00\n", False),
+    # float() spellings the tokenizer refuses: the split parse takes them
+    "exponent-underscore": ("1e1_0,1\n", True),
+    "arabic-indic-digits": ("\u0661,\u0662\n", True),
 }
 
 
@@ -153,6 +162,49 @@ def test_ingest_bulk_parse_is_float_bit_for_bit(tmp_path, monkeypatch):
     bulk = ingest_prices(str(f))
     assert bulk.prices.tobytes() == expected.prices.tobytes()
     assert bulk.times.tobytes() == expected.times.tobytes()
+
+
+def _refuse(rows):
+    raise AssertionError("the split parse ran")
+
+
+def test_ingest_reads_an_export_with_the_tokenizer_alone(tmp_path, monkeypatch):
+    src = simulate_path(ModelParams(), 4096, 1.0, seed=4)
+    f = tmp_path / "path.csv"
+    atomic_write(str(f), market_path_csv(src))
+    monkeypatch.setattr(fracvol.io, "_split_parse", _refuse)
+    monkeypatch.setattr(fracvol.io, "_ingest_rows", _hand_over)
+    back = ingest_prices(str(f))
+    assert back.times.tobytes() == src.times.tobytes()
+    assert back.prices.tobytes() == src.prices.tobytes()
+
+
+def _joined_csv(header, *columns):
+    # csv_text's earlier form: every row joined, then all lines
+    rows = map(",".join, zip(*[map(str, column) for column in columns]))
+    return "\n".join([header, *rows]) + "\n"
+
+
+_CSV_VALUES = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf, 0.1, 1 / 3, 2.5]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_csv_text_blocks_give_the_joined_bytes(width):
+    block = fracvol.io.CSV_BLOCK_CELLS // width
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        columns = [[_CSV_VALUES[(i * width + j) % len(_CSV_VALUES)] for i in range(n)]
+                   for j in range(width)]
+        header = ",".join(f"c{j}" for j in range(width))
+        assert fracvol.io.csv_text(header, *columns) == _joined_csv(header, *columns)
+
+
+def test_key_value_csv_blocks_give_the_joined_bytes():
+    values = ["tag", 7, -3, True, False, np.float64(0.1), *_CSV_VALUES]
+    block = fracvol.io.CSV_BLOCK_CELLS // 2
+    for n in (0, 1, block - 1, block, block + 1):
+        payload = {f"k{i:05d}": values[i % len(values)] for i in range(n)}
+        scalars = sorted(payload.items())
+        assert key_value_csv(payload) == _joined_csv("key,value", *zip(*scalars))
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
@@ -540,7 +592,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     # simulate, estimate, lob and abm (either signal rule) need numpy only;
-    # pdf, price and smile load scipy's ufunc extension alone, no scipy module
+    # pdf, price and smile load scipy's ufunc extension alone, no scipy module;
+    # none loads numpy.ma (np.unique imports it, 13 ms of a cold start)
     (tmp_path / "step.cfg").write_text("steps = 600\n")
     (tmp_path / "logistic.cfg").write_text("steps = 600\nf_choice = logistic\n")
     runs = [
@@ -556,9 +609,10 @@ def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     for argv in runs:
         proc = _fresh_python(
             "import sys; from fracvol.cli import main; "
-            f"code = main({argv!r}); print(code, {_LOADED_SCIPY})", tmp_path)
+            f"code = main({argv!r}); print(code, {_LOADED_SCIPY}, 'numpy.ma' in sys.modules)",
+            tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []", (argv, proc.stdout)
+        assert proc.stdout.splitlines()[-1] == "0 [] False", (argv, proc.stdout)
 
 
 def test_runs_leave_only_artifacts(tmp_path, capsys):

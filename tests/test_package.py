@@ -44,11 +44,13 @@ def test_kernel_accuracy_script_finds_the_alpha_cap():
 
 def test_peak_memory_script_prints_a_result_row():
     # the script reaches fgn, io and pricing internals through fracvol
-    lines = _fresh_python(str(SCRIPTS / "peak_memory.py"), "smile_surface default").splitlines()
-    assert len(lines) == 2 and lines[0].split() == ["case", "start", "rss", "peak", "traced"]
-    name, figures = lines[1][:40].strip(), lines[1][40:].split()
-    assert name == "smile_surface default" and len(figures) == 3, lines[1]
-    assert all(float(f) > 0 for f in figures), lines[1]
+    cases = ["smile_surface default", "ingest_prices 2^16 export"]
+    lines = _fresh_python(str(SCRIPTS / "peak_memory.py"), *cases).splitlines()
+    assert len(lines) == 3 and lines[0].split() == ["case", "start", "rss", "peak", "traced"]
+    for case, line in zip(cases, lines[1:]):
+        name, figures = line[:40].strip(), line[40:].split()
+        assert name == case and len(figures) == 3, line
+        assert all(float(f) > 0 for f in figures), line
 
 
 def test_every_export_resolves_to_its_module_attribute():

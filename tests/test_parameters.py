@@ -232,6 +232,14 @@ BAD_CALLS = {
     "ExperimentConfig-evolution-str": lambda: ExperimentConfig(evolution="x"),
     "ExperimentConfig-impact-None": lambda: ExperimentConfig(impact=None),
     "MarketEnv-impact-None": lambda: MarketEnv(impact=None),
+    # a population entry that is not a pair raised a raw TypeError or ValueError
+    "ExperimentConfig-population-None": lambda: ExperimentConfig(population=None),
+    "ExperimentConfig-population-single": lambda: ExperimentConfig(population=((72,),)),
+    "ExperimentConfig-population-triple": lambda: ExperimentConfig(population=((72, 50, 1),)),
+    # an unchecked state field built, and step then failed with a raw TypeError
+    "MarketEnv-z-str": lambda: MarketEnv(z="1"),
+    "MarketEnv-z_prev-None": lambda: MarketEnv(z_prev=None),
+    "MarketEnv-xi-nan": lambda: MarketEnv(xi=math.nan),
 }
 
 
