@@ -27,6 +27,13 @@ def _path_csv():
     fracvol.io.market_path_csv(fracvol.simulate_path(fracvol.ModelParams(), 2**16, 1.0))
 
 
+def _paths_x8():
+    # fsv_recovery's eight seeds: pocketfft's cached 131,074-point plan,
+    # which tracemalloc does not see, shows in the fresh-process peak only
+    for seed in range(8):
+        fracvol.simulate_path(fracvol.ModelParams(), 2**16, 1.0, seed=seed)
+
+
 def _ensemble_csv():
     times, prices, _ = fracvol.path_ensemble(fracvol.ModelParams(), 1000, 1.0, n_paths=256)
     fracvol.io.ensemble_csv(times, prices)
@@ -62,6 +69,7 @@ CASES = {
     "generate_fgn 2^20": lambda: fracvol.generate_fgn(2**20, 0.83),
     "generate_fgn 65537": lambda: fracvol.generate_fgn(65537, 0.83),
     "simulate_path 2^16 + market_path_csv": _path_csv,
+    "simulate_path 2^16 x8": _paths_x8,
     "path_ensemble 256x1000 + ensemble_csv": _ensemble_csv,
     "ingest_prices 2^16 export": lambda: fracvol.io.ingest_prices(_export()),
     "monte_carlo_price 100k paths": _monte_carlo,

@@ -355,8 +355,10 @@ class ExperimentConfig(Checked):
         MarketEnv(impact=self.impact, noise_sigma=self.noise_sigma,
                   value_walk_sigma=self.value_walk_sigma, f_choice=self.f_choice,
                   beta_f=self.beta_f)
-        holds(self.population, lambda mix: all(len(entry) == 2 for entry in mix),
-              "population must be (strategy code, count) pairs")
+        # a one-shot iterable would be consumed here, before run_experiment reads it
+        holds(self.population, lambda mix: isinstance(mix, (tuple, list))
+              and all(len(entry) == 2 for entry in mix),
+              "population must be a tuple or list of (strategy code, count) pairs")
         Population.from_counts(self.population)
 
 

@@ -15,6 +15,19 @@ clipped to zero; anything lower raises GenerationError. Each transform is
 a complex FFT run in place on one buffer of 2n complex values (32 MiB at
 n = 2^20), so no complex cast or separate output array is allocated.
 
+pocketfft runs a length with a large prime factor (2n = 2 x 65,537 for a
+2^16-step path) by Bluestein's algorithm, whose plan, a chirp and its FFT,
+np.fft.fft builds again on every call: about half of a one-row transform
+there (some 10 of 20 ms on a 2-vCPU host). So a one-row draw whose length
+is not a power of two goes through scipy's fft/_pocketfft/pypocketfft
+extension, loaded alone on the first such draw, which keeps its plans in a
+cache and gives the same bits; the 131,074-point plan stays resident, about
+9 MiB. Powers of two stay on numpy: their plans are cheap, and a cached
+2^21-point plan would hold 32 MiB for the life of the process. So do calls
+of several rows, which share one numpy plan across their rows already, and
+the one eigenvalue transform per (n, H). Without the extension every draw
+uses np.fft.fft.
+
 The n + 1 spectral weights the sampler multiplies its normals by depend only
 on (n, H), so they are computed once per key and kept in a bounded LRU cache
 of _WEIGHT_CACHE entries (read-only arrays of 8(n + 1) bytes each: 8 MiB at
@@ -25,9 +38,12 @@ over fGn at spacing delta, with the paper's defaults; simulate and returns exten
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -36,6 +52,32 @@ from .errors import (Checked, GenerationError, ParameterError, finite, integer, 
 from .rng import substream
 
 _WEIGHT_CACHE = 8  # (n, H) keys kept; the forward-and-back loop uses 3
+
+
+def _scipy_extension(*parts: str):
+    """The compiled module at scipy/<parts><suffix>, loaded alone by an
+    ExtensionFileLoader (no scipy package module is imported) as
+    fracvol.<parts[-1]>, the name its init symbol carries; None where it is
+    missing or does not load."""
+    spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, *parts) + suffix
+            ext = importlib.util.spec_from_file_location(f"fracvol.{parts[-1]}", path)
+            try:  # a missing file raises ImportError too
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module
+            except ImportError:
+                continue
+    return None
+
+
+@cache
+def _pocketfft():
+    """pypocketfft's c2c, whose plans persist between calls; None without it."""
+    module = _scipy_extension("fft", "_pocketfft", "pypocketfft")
+    return getattr(module, "c2c", None)
 
 
 def check_hurst(hurst: float) -> float:
@@ -84,10 +126,24 @@ def fgn_autocovariance(lag, hurst: float, spacing: float = 1.0):
     if not np.all((k >= 0) & (k < np.inf)):
         raise ParameterError("lag must be finite and >= 0")
     two_h = 2.0 * h
-    out = 0.5 * spacing**two_h * (
-        np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
-    )
-    return out if out.ndim else float(out)
+    scale = 0.5 * spacing**two_h
+    if not k.ndim:  # numpy's scalar power; its last bits differ from the array loop's
+        return float(scale * (abs(k + 1) ** two_h - 2.0 * abs(k) ** two_h
+                              + abs(k - 1) ** two_h))
+
+    def abs_power(buf):  # |buf| ** 2H, in place
+        np.abs(buf, out=buf)
+        buf **= two_h
+        return buf
+
+    # the formula's operations, in its order (so its bits), on two reused buffers
+    out = abs_power(k + 1)
+    term = abs_power(k.copy())
+    term *= 2.0
+    out -= term
+    out += abs_power(np.subtract(k, 1, out=term))
+    out *= scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,7 +177,7 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
     within that bound are round-off; one below it is a genuine failure.
     """
     row = np.zeros(2 * n, dtype=complex)  # transformed in place
-    row.real[: n + 1] = fgn_autocovariance(np.arange(n + 1), hurst)
+    row.real[: n + 1] = fgn_autocovariance(np.arange(n + 1, dtype=float), hurst)
     row.real[n + 1 :] = row.real[n - 1 : 0 : -1]
     eigs = np.fft.fft(row, out=row).real
     two_h1 = 2.0 * hurst + 1.0
@@ -167,7 +223,11 @@ def _fgn_circulant(n: int, weights: np.ndarray, rng: np.random.Generator,
     del z
     re[:, n + 1 :] = re[:, n - 1 : 0 : -1]
     np.negative(im[:, n - 1 : 0 : -1], out=im[:, n + 1 :])
-    return np.fft.fft(v, axis=1, out=v).real[:, :n]
+    if n_paths == 1 and m & (m - 1) and (c2c := _pocketfft()) is not None:
+        c2c(v, (1,), True, 0, v, 1)  # forward, unnormalised, in place, one thread
+    else:
+        np.fft.fft(v, axis=1, out=v)
+    return v.real[:, :n]
 
 
 def _sample_unit_fgn(n: int, hurst: float, rng: np.random.Generator,

@@ -9,37 +9,27 @@ exp(-log^2(lambda) / C), C = 8 k^2 delta^(2H-2), up to a slowly varying factor.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import OutOfRegimeError, ParameterError, integer, positive
-from .fgn import LogVolParams
+from .fgn import LogVolParams, _scipy_extension
 from .rng import substream
 
 
 def _special_ufuncs():
     """scipy's erf, erfc and ndtr from its special/_special_ufuncs extension alone,
-    named for its init symbol, as the scipy.special package adds about 290 modules
-    to a fresh process; scipy.special's own where that file or a name is missing."""
-    spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
-    for root in spec.submodule_search_locations if spec else ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "special", "_special_ufuncs" + suffix)
-            ext = importlib.util.spec_from_file_location("fracvol._special_ufuncs", path)
-            try:  # by an ExtensionFileLoader; a missing file raises ImportError too
-                module = importlib.util.module_from_spec(ext)
-                ext.loader.exec_module(module)
-                return module.erf, module.erfc, module.ndtr
-            except (ImportError, AttributeError):
-                continue
-    from scipy.special import erf, erfc, ndtr
-    return erf, erfc, ndtr
+    as the scipy.special package adds about 290 modules to a fresh process;
+    scipy.special's own where that file or a name is missing."""
+    module = _scipy_extension("special", "_special_ufuncs")
+    try:
+        return module.erf, module.erfc, module.ndtr
+    except AttributeError:  # no such extension (None), or a name missing
+        from scipy.special import erf, erfc, ndtr
+        return erf, erfc, ndtr
 
 
 erf, erfc, ndtr = _special_ufuncs()

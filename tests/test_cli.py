@@ -585,15 +585,21 @@ def _fresh_python(code, cwd):
 
 
 _LOADED_SCIPY = "[m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy']"
+# fgn's cached loader has run and found fracvol.pypocketfft
+_LOADED_POCKETFFT = ("'fracvol.fgn' in sys.modules and "
+                     "sys.modules['fracvol.fgn']._pocketfft.cache_info().currsize == 1 and "
+                     "sys.modules['fracvol.fgn']._pocketfft() is not None")
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     proc = _fresh_python(f"import fracvol, sys; print({_LOADED_SCIPY})", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # simulate, estimate, lob and abm (either signal rule) need numpy only;
-    # pdf, price and smile load scipy's ufunc extension alone, no scipy module;
-    # none loads numpy.ma (np.unique imports it, 13 ms of a cold start)
+    # simulate, estimate, lob and abm (either signal rule) need numpy only,
+    # but simulate's one-row draw of 2 * 601 points loads scipy's pocketfft
+    # extension alone; pdf, price and smile load its ufunc extension alone,
+    # no scipy module; none loads numpy.ma (np.unique imports it, 13 ms of a
+    # cold start)
     (tmp_path / "step.cfg").write_text("steps = 600\n")
     (tmp_path / "logistic.cfg").write_text("steps = 600\nf_choice = logistic\n")
     runs = [
@@ -609,10 +615,11 @@ def test_import_leaves_heavy_scipy_modules_unloaded(tmp_path):
     for argv in runs:
         proc = _fresh_python(
             "import sys; from fracvol.cli import main; "
-            f"code = main({argv!r}); print(code, {_LOADED_SCIPY}, 'numpy.ma' in sys.modules)",
-            tmp_path)
+            f"code = main({argv!r}); print(code, {_LOADED_SCIPY}, 'numpy.ma' in sys.modules, "
+            f"{_LOADED_POCKETFFT})", tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 [] False", (argv, proc.stdout)
+        pocketfft = argv[0] == "simulate"
+        assert proc.stdout.splitlines()[-1] == f"0 [] False {pocketfft}", (argv, proc.stdout)
 
 
 def test_runs_leave_only_artifacts(tmp_path, capsys):

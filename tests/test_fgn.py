@@ -1,4 +1,8 @@
 """Covariance exactness and determinism of the noise generator."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,26 @@ def test_autocovariance_matches_fbm_increments():
         c = (fbm_covariance(1, k + 1, h) - fbm_covariance(1, k, h)
              - fbm_covariance(0, k + 1, h) + fbm_covariance(0, k, h))
         assert fgn_autocovariance(k, h) == pytest.approx(c, rel=1e-12)
+
+
+def _one_line_autocovariance(lag, hurst, spacing):
+    # the expression the buffered evaluation replaced, temporaries and all
+    k, two_h = np.asarray(lag, dtype=float), 2.0 * hurst
+    out = 0.5 * spacing**two_h * (
+        np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.3, 0.5, 0.83, 0.99999, 1.0])
+@pytest.mark.parametrize("spacing", [1.0, 0.37, 3])
+def test_buffered_autocovariance_equals_the_one_line_expression_bit_for_bit(hurst, spacing):
+    # H = 0.25, 0.5 and 1 give the exponents 0.5, 1 and 2
+    for lag in (np.arange(4097), np.arange(4097.0)[::-3], np.linspace(0.0, 40.0, 333),
+                [[0, 1], [2, 3]], 0, 1, 7, 3.5, np.float64(10**6), np.array(5.0)):
+        ours, old = fgn_autocovariance(lag, hurst, spacing), _one_line_autocovariance(
+            lag, hurst, spacing)
+        assert type(ours) is type(old)
+        assert np.asarray(ours).tobytes() == np.asarray(old).tobytes(), lag
 
 
 def test_half_hurst_is_white():
@@ -103,6 +127,60 @@ def test_in_place_spectra_match_the_plain_sampler_bit_for_bit(n, hurst):
         assert _sample_unit_fgn(n, hurst, substream(11), rows).tobytes() == samples.tobytes()
 
 
+def test_cached_plan_transform_equals_numpy_fft_bit_for_bit():
+    c2c = fgn._pocketfft()
+    assert c2c is not None  # scipy is installed here, so the extension loads
+    rng = np.random.default_rng(5)
+    for m in [*range(2, 1201, 2), 2 * 4097, 2 * 65537]:
+        v = rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m))
+        expected = np.fft.fft(v, axis=1)
+        assert c2c(v, (1,), True, 0, v, 1) is v
+        assert v.tobytes() == expected.tobytes(), m
+
+
+_PATH_DIGEST = """
+import hashlib
+from fracvol import fgn
+from fracvol.simulate import ModelParams, simulate_path
+path = simulate_path(ModelParams(), 2**16, 1.0, seed=3)
+print(hashlib.sha256(path.prices.tobytes() + path.logvol.tobytes()).hexdigest(),
+      fgn._pocketfft() is None)
+"""
+
+
+def test_forced_fallback_gives_the_same_path_bits(tmp_path):
+    """A fresh process that cannot find scipy's location transforms with
+    np.fft.fft; its 2^16-step path is the cached plan's, bit for bit."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fgn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    lines = []
+    for prelude in ("", "import importlib.util; importlib.util.find_spec = lambda name: None"):
+        proc = subprocess.run([sys.executable, "-c", prelude + _PATH_DIGEST],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines.append(proc.stdout.split())
+    (cached, missing), (fallback, fell_back) = lines
+    assert (missing, fell_back) == ("False", "True")
+    assert cached == fallback
+
+
+def test_only_single_rows_of_other_lengths_leave_numpy(monkeypatch):
+    # with the weights cached, a one-row draw of 2n = 131,074 needs no
+    # np.fft.fft; a power of two and a three-row block still call it
+    for n in (65537, 4096, 301):
+        fgn._spectral_weights(n, 0.83)
+    def stub(*args, **kwargs):
+        raise AssertionError("np.fft.fft called")
+    monkeypatch.setattr(np.fft, "fft", stub)
+    assert len(simulate_path(ModelParams(), 2**16, 1.0, seed=1).prices) == 2**16 + 1
+    assert len(generate_fgn(65_537, 0.83, seed=1).values) == 65_537
+    with pytest.raises(AssertionError, match="np.fft.fft called"):
+        generate_fgn(4096, 0.83)
+    with pytest.raises(AssertionError, match="np.fft.fft called"):
+        path_ensemble(ModelParams(), 300, 1.0, n_paths=3)
+
+
 def test_embedding_beyond_round_off_is_refused(monkeypatch):
     # gamma = (1, 0.9, 0) is not a covariance: its 4-circulant has the
     # eigenvalue 1 - 2 * 0.9 = -0.8, far below any round-off bound
@@ -165,11 +243,12 @@ def test_repeated_simulations_compute_the_weights_once():
 def test_traced_peak_holds_one_complex_spectrum():
     # at n = 2^20 one complex spectrum of length 2n is 32 MiB. Out-of-place
     # transforms read 88.0 MiB for the cold weights and 64.0 MiB for a warm
-    # sample; in place, 72.0 and 48.0.
+    # sample; in place, 72.0 and 48.0; with the autocovariance in two reused
+    # buffers, not five temporaries, the cold weights read 56.0
     def cold_weights():
         fgn._spectral_weights.cache_clear()
         fgn._spectral_weights(2**20, 0.83)
-    calls = {80: cold_weights, 56: lambda: generate_fgn(2**20, 0.83)}
+    calls = {60: cold_weights, 56: lambda: generate_fgn(2**20, 0.83)}
     for mib, call in calls.items():
         assert warm_traced_peak(call) <= mib * 2**20
 

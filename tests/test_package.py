@@ -44,9 +44,9 @@ def test_kernel_accuracy_script_finds_the_alpha_cap():
 
 def test_peak_memory_script_prints_a_result_row():
     # the script reaches fgn, io and pricing internals through fracvol
-    cases = ["smile_surface default", "ingest_prices 2^16 export"]
+    cases = ["smile_surface default", "ingest_prices 2^16 export", "simulate_path 2^16 x8"]
     lines = _fresh_python(str(SCRIPTS / "peak_memory.py"), *cases).splitlines()
-    assert len(lines) == 3 and lines[0].split() == ["case", "start", "rss", "peak", "traced"]
+    assert len(lines) == len(cases) + 1 and lines[0].split() == ["case", "start", "rss", "peak", "traced"]
     for case, line in zip(cases, lines[1:]):
         name, figures = line[:40].strip(), line[40:].split()
         assert name == case and len(figures) == 3, line
@@ -136,16 +136,22 @@ def test_cli_raises_nothing():
 
 
 def test_only_returns_imports_scipy():
-    """returns.py loads scipy's three ufuncs for the package (cold start: no
-    command loads a scipy package module); no other module imports scipy."""
-    importers = []
+    """One loader, fgn._scipy_extension, finds scipy and loads single extension
+    files from it (cold start: no command loads a scipy package module);
+    returns.py imports scipy.special only where that fails, and no other
+    module imports scipy."""
+    importers, locators = [], []
     for path in sorted(Path(fracvol.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
                      [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.name)
+            if isinstance(node, ast.Attribute) and node.attr in ("find_spec",
+                                                                 "spec_from_file_location"):
+                locators.append(path.name)
     assert sorted(set(importers)) == ["returns.py"]
+    assert sorted(set(locators)) == ["fgn.py"]
 
 
 # the parameters of the entry points whose quadrature sizes, windows, report

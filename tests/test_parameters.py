@@ -236,6 +236,10 @@ BAD_CALLS = {
     "ExperimentConfig-population-None": lambda: ExperimentConfig(population=None),
     "ExperimentConfig-population-single": lambda: ExperimentConfig(population=((72,),)),
     "ExperimentConfig-population-triple": lambda: ExperimentConfig(population=((72, 50, 1),)),
+    # a one-shot iterable was consumed by the check and then read as empty
+    "ExperimentConfig-population-iterator": lambda: ExperimentConfig(population=iter([(72, 50)])),
+    "ExperimentConfig-population-generator":
+        lambda: ExperimentConfig(population=((72, 50) for _ in range(1))),
     # an unchecked state field built, and step then failed with a raw TypeError
     "MarketEnv-z-str": lambda: MarketEnv(z="1"),
     "MarketEnv-z_prev-None": lambda: MarketEnv(z_prev=None),
@@ -247,6 +251,15 @@ BAD_CALLS = {
 def test_entry_point_rejects_bad_value(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("population", [iter([(72, 50)]), ((72, 50) for _ in range(1))],
+                         ids=["iterator", "generator"])
+def test_one_shot_population_is_refused_for_its_type(population):
+    # not "population must not be empty": the check no longer consumes it first
+    with pytest.raises(ParameterError, match=r"^population must be a tuple or list of "):
+        ExperimentConfig(population=population)
+    assert ExperimentConfig(population=[(72, 50)]).population == [(72, 50)]
 
 
 def test_numpy_integer_counts_accepted():
